@@ -25,6 +25,7 @@ from .model import (
     RoleLabel,
     RoleSpec,
     SemanticGraph,
+    SourceError,
     Violation,
     merge,
     validate,
@@ -69,6 +70,7 @@ __all__ = [
     "RoleLabel",
     "RoleSpec",
     "SemanticGraph",
+    "SourceError",
     "TripleStore",
     "UmrDocument",
     "Violation",

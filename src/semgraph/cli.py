@@ -14,18 +14,6 @@ import tempfile
 
 from . import conll, dot, kg, model, penman, ucca, xmlio
 
-_DATA_ERRORS = (
-    xmlio.XmlError,
-    penman.PenmanError,
-    penman.UmrError,
-    kg.TurtleError,
-    conll.ConllError,
-    ucca.UccaError,
-    OSError,
-    UnicodeDecodeError,
-)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semgraph",
@@ -175,10 +163,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{violation.code}\t{violation.subject}\t{violation.message}",
                   file=sys.stderr)
         return 1
-    except model.GraphError as exc:
-        print(f"semgraph: error: {exc}", file=sys.stderr)
-        return 2
-    except _DATA_ERRORS as exc:
+    except (model.GraphError, model.SourceError, OSError, UnicodeDecodeError) as exc:
         print(f"semgraph: error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,6 +12,7 @@ from .model import (
     RoleLabel,
     RoleSpec,
     SemanticGraph,
+    SourceError,
 )
 
 UNANALYSED_CLASS = "UnanalysedSubtree"
@@ -20,11 +21,8 @@ _LANG_RE = re.compile(r"#\s*lang\s*=\s*(\S+)\s*\Z")
 _TAGS = frozenset({"O", "B-Cause", "I-Cause", "B-Effect", "I-Effect"})
 
 
-class ConllError(Exception):
-    def __init__(self, message: str, line: int | None = None):
-        location = f" (line {line})" if line is not None else ""
-        super().__init__(message + location)
-        self.line = line
+class ConllError(SourceError):
+    """Malformed CoNLL input or an unannotated sentence; carries a line only."""
 
 
 @dataclass

@@ -6,7 +6,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .model import RoleLabel, SemanticGraph, add_planned_edges
+from .model import RoleLabel, SemanticGraph, SourceError, add_planned_edges, line_col
 
 EVENT_TYPE = "sem:Event"
 TYPE_PRED = "rdf:type"
@@ -17,12 +17,8 @@ RESOURCE = "resource"
 LITERAL = "literal"
 
 
-class TurtleError(Exception):
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        location = f" (line {line}, column {column})" if line is not None else ""
-        super().__init__(message + location)
-        self.line = line
-        self.column = column
+class TurtleError(SourceError):
+    """Malformed or unsupported Turtle input."""
 
 
 @dataclass(frozen=True)
@@ -60,15 +56,8 @@ _UNSUPPORTED = {
 }
 
 
-def _line_col(text: str, offset: int) -> tuple[int, int]:
-    line = text.count("\n", 0, offset) + 1
-    last = text.rfind("\n", 0, offset)
-    return line, offset - last
-
-
 def _fail(text: str, offset: int, message: str):
-    line, column = _line_col(text, offset)
-    raise TurtleError(message, line, column)
+    raise TurtleError(message, *line_col(text, offset))
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -133,6 +122,8 @@ def _tokenize(text: str) -> list[_Token]:
             _fail(text, i, f"unsupported construct: {_UNSUPPORTED[c]}")
         else:
             match = _WORD_RE.match(text, i)
+            if not match:
+                _fail(text, i, f"unexpected character {c!r}")
             word = match.group(0)
             end = match.end()
             stripped = word.rstrip(".")

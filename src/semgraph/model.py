@@ -33,6 +33,27 @@ VIOLATION_CODES = frozenset({
 })
 
 
+class SourceError(Exception):
+    """Malformed input to one of the readers.
+
+    ``line`` and ``column`` are 1-based and ``None`` where the reader does not
+    know them; the message appends whichever are known to ``reason``.
+    """
+
+    def __init__(self, reason: str, line: int | None = None, column: int | None = None):
+        where = ("" if line is None else f" (line {line})" if column is None
+                 else f" (line {line}, column {column})")
+        super().__init__(reason + where)
+        self.reason = reason
+        self.line = line
+        self.column = column
+
+
+def line_col(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, column) of character ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 class GraphError(ValueError):
     """Raised when a graph or catalogue operation breaks a construction rule.
 
@@ -187,7 +208,8 @@ class SemanticGraph:
             label = RoleLabel(label)
         src = self.nodes.get(source)
         if src is None:
-            raise GraphError(f"edge source '{source}' is not in the graph", DANGLING_TARGET)
+            raise GraphError(f"edge source '{source}' is not in the graph",
+                             EDGE_FROM_NON_CONCEPT)
         if isinstance(src, EntityNode):
             raise GraphError(
                 f"entity '{source}' cannot have outgoing edges", ENTITY_OUT_EDGE)
@@ -287,9 +309,11 @@ def merge(g1: SemanticGraph, g2: SemanticGraph,
 
     ``correspondence`` holds (id in g1, id in g2) pairs; each pair must join
     nodes of the same kind carrying equal payloads (concept name, or entity
-    value and classes). Neither input is mutated. The result gets fresh node
-    ids assigned in a fixed order: g1's nodes first, then g2's unfused nodes,
-    both in insertion order; edges keep g1-then-g2 order.
+    value and classes). Fused nodes may not both fill the same role slot, so
+    that the result of merging lax-valid graphs is lax-valid. Neither input is
+    mutated. The result gets fresh node ids assigned in a fixed order: g1's
+    nodes first, then g2's unfused nodes, both in insertion order; edges keep
+    g1-then-g2 order.
     """
     fused_of_g2: dict[str, str] = {}
     seen_g1: set[str] = set()
@@ -303,6 +327,12 @@ def merge(g1: SemanticGraph, g2: SemanticGraph,
         _check_fusable(g1.nodes[id1], g2.nodes[id2])
         seen_g1.add(id1)
         fused_of_g2[id2] = id1
+    if fused_of_g2:
+        filled = {(e.source, e.label) for e in g1.edges if e.source in seen_g1}
+        for e in g2.edges:
+            if (fused_of_g2.get(e.source), e.label) in filled:
+                raise GraphError(f"role slot '{e.label}' of '{fused_of_g2[e.source]}'"
+                                 " is filled in both graphs", DUPLICATE_ROLE_SLOT)
     out = SemanticGraph()
     map1 = {nid: _copy_node_into(out, node) for nid, node in g1.nodes.items()}
     map2 = {}
@@ -428,7 +458,8 @@ def validate(graph: SemanticGraph, catalogue: ConceptCatalogue | None = None,
         if edge.label.index is not None:
             index_sets.setdefault((edge.source, edge.label.name), set()).add(edge.label.index)
     for (source, name), indices in index_sets.items():
-        if indices != set(range(1, max(indices) + 1)):
+        # k distinct indices >= 1 are 1..k exactly when the largest is k.
+        if len(indices) != max(indices):
             violations.append(Violation(
                 BAD_INDEX_SET, source,
                 f"indices for role '{name}' of '{source}' are {sorted(indices)},"

@@ -5,23 +5,22 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .model import RoleLabel, SemanticGraph, add_planned_edges
+from .model import RoleLabel, SemanticGraph, SourceError, add_planned_edges, line_col
 
 NODE = "node"
 REF = "ref"
 CONST = "const"
 
 
-class PenmanError(Exception):
+class PenmanError(SourceError):
     """Parse failure; ``offset`` is a character position in the input text."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
-        self.reason = message
+    def __init__(self, reason: str, text: str, offset: int):
+        super().__init__(reason, *line_col(text, offset))
         self.offset = offset
 
 
-class UmrError(Exception):
+class UmrError(SourceError):
     """Document-level conversion failure."""
 
 
@@ -73,68 +72,62 @@ class _Token:
     offset: int
 
 
-_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[()/]|[^\s()/"]+')
+# The last alternative catches a quote that opens no complete string.
+_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[()/]|[^\s()/"]+|"')
 _UNESCAPE_RE = re.compile(r"\\(.)")
 
 
-def _comment_spans(text: str) -> list[tuple[int, int]]:
+def _comment_spans(text: str, start: int, end: int) -> list[tuple[int, int]]:
     spans = []
-    offset = 0
-    for line in text.splitlines(keepends=True):
+    offset = start
+    for line in text[start:end].splitlines(keepends=True):
         if line.lstrip().startswith("#"):
             spans.append((offset, offset + len(line)))
         offset += len(line)
     return spans
 
 
-def _tokenize(text: str) -> list[_Token]:
-    comment = _comment_spans(text)
-    covered = list(comment)
+def _tokenize(text: str, start: int, end: int) -> list[_Token]:
+    """Tokens of ``text[start:end]``, with offsets into the whole ``text``."""
+    comment = _comment_spans(text, start, end)
     tokens: list[_Token] = []
-    for match in _TOKEN_RE.finditer(text):
-        start = match.start()
-        covered.append((start, match.end()))
-        if any(a <= start < b for a, b in comment):
+    for match in _TOKEN_RE.finditer(text, start, end):
+        at = match.start()
+        if any(a <= at < b for a, b in comment):
             continue
         value = match.group(0)
+        if value == '"':
+            raise PenmanError("unexpected character '\"'", text, at)
         if value.startswith('"'):
             inner = _UNESCAPE_RE.sub(r"\1", value[1:-1])
             if not inner:
-                raise PenmanError("empty string constant", start)
-            tokens.append(_Token("string", inner, start))
+                raise PenmanError("empty string constant", text, at)
+            tokens.append(_Token("string", inner, at))
         elif value in "()/":
-            tokens.append(_Token(value, value, start))
+            tokens.append(_Token(value, value, at))
         elif value.startswith(":"):
             name = value[1:].split("~", 1)[0]
             if not name:
-                raise PenmanError("role token ':' has no name", start)
-            tokens.append(_Token("role", name, start))
+                raise PenmanError("role token ':' has no name", text, at)
+            tokens.append(_Token("role", name, at))
         elif value.startswith("~"):
             continue  # alignment marker, ignored
         else:
             bare = value.split("~", 1)[0]
             if bare:
-                tokens.append(_Token("token", bare, start))
-    # Anything not matched and not commented out can only be a stray quote.
-    position = 0
-    for start, end in sorted(covered):
-        gap = text[position:start]
-        if gap.strip():
-            bad = position + len(gap) - len(gap.lstrip())
-            raise PenmanError(f"unexpected character {text[bad]!r}", bad)
-        position = max(position, end)
-    if text[position:].strip():
-        tail = text[position:]
-        bad = position + len(tail) - len(tail.lstrip())
-        raise PenmanError(f"unexpected character {text[bad]!r}", bad)
+                tokens.append(_Token("token", bare, at))
     return tokens
 
 
 class _TokenStream:
-    def __init__(self, tokens: list[_Token], end: int):
+    def __init__(self, tokens: list[_Token], text: str, end: int):
         self._tokens = tokens
         self._pos = 0
+        self.text = text
         self.end = end
+
+    def fail(self, reason: str, offset: int) -> PenmanError:
+        return PenmanError(reason, self.text, offset)
 
     def peek(self) -> _Token | None:
         if self._pos < len(self._tokens):
@@ -144,7 +137,7 @@ class _TokenStream:
     def next(self) -> _Token:
         token = self.peek()
         if token is None:
-            raise PenmanError("unexpected end of input", self.end)
+            raise self.fail("unexpected end of input", self.end)
         self._pos += 1
         return token
 
@@ -152,35 +145,35 @@ class _TokenStream:
 def _parse_node(stream: _TokenStream, concepts: dict[str, str], slots: list[Slot]) -> str:
     opening = stream.next()
     if opening.kind != "(":
-        raise PenmanError("expected '('", opening.offset)
+        raise stream.fail("expected '('", opening.offset)
     var_token = stream.next()
     if var_token.kind != "token":
-        raise PenmanError("expected a variable name", var_token.offset)
+        raise stream.fail("expected a variable name", var_token.offset)
     var = var_token.value
     slash = stream.next()
     if slash.kind != "/":
-        raise PenmanError(f"expected '/' after variable '{var}'", slash.offset)
+        raise stream.fail(f"expected '/' after variable '{var}'", slash.offset)
     concept_token = stream.next()
     if concept_token.kind != "token":
-        raise PenmanError("expected a concept label", concept_token.offset)
+        raise stream.fail("expected a concept label", concept_token.offset)
     if var in concepts:
-        raise PenmanError(f"variable '{var}' defined twice", var_token.offset)
+        raise stream.fail(f"variable '{var}' defined twice", var_token.offset)
     concepts[var] = concept_token.value
     while True:
         token = stream.peek()
         if token is None:
-            raise PenmanError("unbalanced parentheses: missing ')'", stream.end)
+            raise stream.fail("unbalanced parentheses: missing ')'", stream.end)
         if token.kind == ")":
             stream.next()
             return var
         if token.kind != "role":
-            raise PenmanError("expected a role or ')'", token.offset)
+            raise stream.fail("expected a role or ')'", token.offset)
         stream.next()
         role = token.value
         value = stream.peek()
         if value is None or value.kind in ("role", ")"):
             offset = value.offset if value is not None else stream.end
-            raise PenmanError(f"role ':{role}' has no value", offset)
+            raise stream.fail(f"role ':{role}' has no value", offset)
         if value.kind == "(":
             slot = Slot(var, role, NODE, "")
             slots.append(slot)
@@ -192,7 +185,21 @@ def _parse_node(stream: _TokenStream, concepts: dict[str, str], slots: list[Slot
             stream.next()
             slots.append(Slot(var, role, REF, value.value))  # resolved below
         else:
-            raise PenmanError("unexpected '/'", value.offset)
+            raise stream.fail("unexpected '/'", value.offset)
+
+
+def _parse_tokens(tokens: list[_Token], text: str, end: int) -> PenmanTree:
+    stream = _TokenStream(tokens, text, end)
+    concepts: dict[str, str] = {}
+    slots: list[Slot] = []
+    root = _parse_node(stream, concepts, slots)
+    trailing = stream.peek()
+    if trailing is not None:
+        raise stream.fail("unexpected trailing content", trailing.offset)
+    for slot in slots:
+        if slot.kind == REF and slot.value not in concepts:
+            slot.kind = CONST
+    return PenmanTree(root, concepts, slots)
 
 
 def parse_penman(text: str) -> PenmanTree:
@@ -203,23 +210,14 @@ def parse_penman(text: str) -> PenmanTree:
     expression (forward references included) and a constant otherwise.
     Alignment markers (``~e.N``) and ``#`` comment lines are ignored.
     """
-    tokens = _tokenize(text)
+    tokens = _tokenize(text, 0, len(text))
     if not tokens:
-        raise PenmanError("empty input", 0)
-    stream = _TokenStream(tokens, len(text))
-    concepts: dict[str, str] = {}
-    slots: list[Slot] = []
-    root = _parse_node(stream, concepts, slots)
-    trailing = stream.peek()
-    if trailing is not None:
-        raise PenmanError("unexpected trailing content", trailing.offset)
-    for slot in slots:
-        if slot.kind == REF and slot.value not in concepts:
-            slot.kind = CONST
-    return PenmanTree(root, concepts, slots)
+        raise PenmanError("empty input", text, 0)
+    return _parse_tokens(tokens, text, len(text))
 
 
-def _blocks(text: str) -> list[tuple[str, int]]:
+def _blocks(text: str) -> list[tuple[int, int]]:
+    """The (start, end) offsets of the runs of non-blank lines."""
     blocks = []
     offset = 0
     start = None
@@ -228,28 +226,21 @@ def _blocks(text: str) -> list[tuple[str, int]]:
             if start is None:
                 start = offset
         elif start is not None:
-            blocks.append((text[start:offset], start))
+            blocks.append((start, offset))
             start = None
         offset += len(line)
     if start is not None:
-        blocks.append((text[start:], start))
+        blocks.append((start, len(text)))
     return blocks
-
-
-def _parse_block(block: str, base: int) -> PenmanTree:
-    try:
-        return parse_penman(block)
-    except PenmanError as exc:
-        raise PenmanError(exc.reason, exc.offset + base) from None
 
 
 def parse_penman_file(text: str) -> list[PenmanTree]:
     """Parse a file of blank-line-separated PENMAN expressions."""
     trees = []
-    for block, base in _blocks(text):
-        if not _tokenize(block):
-            continue  # comment-only block
-        trees.append(_parse_block(block, base))
+    for start, end in _blocks(text):
+        tokens = _tokenize(text, start, end)
+        if tokens:  # else a comment-only block
+            trees.append(_parse_tokens(tokens, text, end))
     return trees
 
 
@@ -260,23 +251,23 @@ def parse_umr_document(text: str) -> UmrDocument:
     """Parse sentence expressions plus ``# doc`` blocks of (source rel target) lines."""
     sentences: list[PenmanTree] = []
     relations: list[DocRelation] = []
-    for block, base in _blocks(text):
-        lines = block.splitlines(keepends=True)
+    for start, end in _blocks(text):
+        lines = text[start:end].splitlines(keepends=True)
         first = next((line for line in lines if line.strip()), "")
         if first.strip() == "# doc":
-            offset = base
+            offset = start
             for line in lines:
                 stripped = line.strip()
                 if stripped and not stripped.startswith("#"):
                     match = _DOC_RELATION_RE.match(stripped)
                     if not match:
-                        raise PenmanError("malformed document-level relation", offset)
+                        raise PenmanError("malformed document-level relation", text, offset)
                     relations.append(DocRelation(*match.groups()))
                 offset += len(line)
         else:
-            if not _tokenize(block):
-                continue
-            sentences.append(_parse_block(block, base))
+            tokens = _tokenize(text, start, end)
+            if tokens:
+                sentences.append(_parse_tokens(tokens, text, end))
     return UmrDocument(sentences, relations)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import RoleLabel, SemanticGraph, add_planned_edges
+from .model import RoleLabel, SemanticGraph, SourceError, add_planned_edges
 
 UNIT_CONCEPT = "UCCA.Unit"
 TERMINAL_CLASS = "UCCA.Terminal"
@@ -13,11 +13,8 @@ UNIT = "unit"
 TERMINAL = "terminal"
 
 
-class UccaError(Exception):
-    def __init__(self, message: str, line: int | None = None):
-        location = f" (line {line})" if line is not None else ""
-        super().__init__(message + location)
-        self.line = line
+class UccaError(SourceError):
+    """Malformed UCCA passage; carries a line only."""
 
 
 @dataclass

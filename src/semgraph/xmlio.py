@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from xml.parsers import expat
 
 from .model import (
     ConceptCatalogue,
@@ -21,24 +22,20 @@ from .model import (
     RoleLabel,
     RoleSpec,
     SemanticGraph,
+    SourceError,
+    _ID_RE,
     validate,
 )
 
-_ID_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 _INDEX_RE = re.compile(r"[1-9][0-9]*\Z")
 
 
-class XmlError(Exception):
+class XmlError(SourceError):
     """Base error for reading the XML exchange format."""
 
 
 class XmlSyntaxError(XmlError):
-    """Malformed markup; carries the (line, column) reported by the parser."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        super().__init__(message)
-        self.line = line
-        self.column = column
+    """Malformed markup; carries the line and column reported by the parser."""
 
 
 class XmlSchemaError(XmlError):
@@ -97,8 +94,9 @@ def _parse_root(text: str, expected_tag: str) -> ET.Element:
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
-        line, column = exc.position if exc.position else (None, None)
-        raise XmlSyntaxError(f"malformed XML: {exc}", line, column) from exc
+        line, column = exc.position
+        raise XmlSyntaxError(f"malformed XML: {expat.ErrorString(exc.code)}",
+                             line, column + 1) from exc
     if root.tag != expected_tag:
         raise XmlSchemaError(
             f"unexpected root element '{root.tag}', expected '{expected_tag}'")

@@ -192,6 +192,30 @@ class TestExitCodeMatrix:
         path.write_text("<semanticgraph", encoding="utf-8")
         assert main(["validate", str(path)]) == 2
 
+    @pytest.mark.parametrize("command,text,location", [
+        (["convert", "--from", "amr", "--to", "xml"],
+         "(a / alpha)\n\n(b / beta\n   :ARG0 (c gamma))\n", "(line 4, column 13)"),
+        (["convert", "--from", "umr", "--to", "xml"],
+         "(s / say)\n\n# doc\n(s :before)\n", "(line 4, column 1)"),
+        (["convert", "--from", "ttl", "--to", "xml"],
+         "@prefix ex: <http://e/> .\nex:a ex:b >\n", "(line 2, column 11)"),
+        (["convert", "--from", "conll", "--to", "xml"],
+         "1\ta\ta\tX\t_\t_\t0\td\tB-Cause\n2\tb\tb\tX\t_\t_\t0\td\tB-Nope\n", "(line 2)"),
+        (["convert", "--from", "ucca", "--to", "xml"],
+         "unit u0\nroot u0\nunit u0\n", "(line 3)"),
+        (["validate"], '<semanticgraph version="1">\n<concept id="a"', "(line 2, column 1)"),
+    ], ids=["amr", "umr", "ttl", "conll", "ucca", "validate"])
+    def test_malformed_input_reports_location(self, tmp_path, capsys, command, text, location):
+        source = tmp_path / "bad.txt"
+        source.write_text(text, encoding="utf-8")
+        assert main([*command, str(source)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("semgraph: error: ")
+        assert lines[0].endswith(location)
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["validate", "--frobnicate", str(tmp_path)]) == 3
 

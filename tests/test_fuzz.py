@@ -1,0 +1,106 @@
+"""Mutation fuzzing of every reader and of the CLI on top of it.
+
+Each case starts from a valid seed file and inserts, deletes or replaces a
+few characters. The reader may accept the result or reject it, but only with
+its own ``SourceError`` subclass or a ``GraphError``; the CLI may exit 0 or
+2, or 1 with the violations printed, and never lets an exception escape.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from semgraph import conll, kg, penman, ucca, xmlio
+from semgraph.cli import main
+from semgraph.model import VIOLATION_CODES, GraphError, SourceError, validate
+
+SEEDS = {
+    "amr": ('# ::id 1\n(w / want-01 :ARG0 (b / boy~e.1)\n'
+            '   :ARG1 (g / go-02 :ARG0 b :mod "fast \\" x" :polarity -))\n\n'
+            '# comment only\n\n(t / tall :op1 "a b")\n'),
+    "umr": ("(s1a / say :ARG0 (p / person) :ARG1 \"yes\")\n\n"
+            "(s2b / buy :ARG0 (p2 / person) :ARG1 (c / car))\n\n"
+            "# doc\n(s1a :before s2b)\n(p :coref p2)\n(yes :modal s2b)\n"),
+    "ttl": ("@prefix ex: <http://example.org/> .\n@prefix sem: <http://s/> .\n"
+            '@prefix rdfs: <http://r/> .\n'
+            'ex:a a sem:Event ; rdfs:label "A"@en , "B" ; ex:p "7"^^ex:int .\n'
+            "ex:b a sem:Event ; sem:subEventOf ex:a ; ex:q <http://x/y> . # note\n"),
+    "conll": ("# lang = en\n1\tRain\train\tNOUN\t_\t_\t2\tnsubj\tB-Cause\n"
+              "2\tfell\tfall\tVERB\t_\t_\t0\troot\tI-Cause\n"
+              "3\tso\tso\tADV\t_\t_\t4\tadv\tO\n"
+              "4\tfloods\tflood\tNOUN\t_\t_\t2\tobj\tB-Effect\n\n"
+              "1\tHeat\theat\tNOUN\t_\t_\t0\troot\tB-Effect\n"),
+    "ucca": ("# passage\nunit u0\nunit u1\nterm t1 hello there\nterm t2 world\n"
+             "edge u0 u1 H\nedge u1 t1 A\nedge u1 t2 A\nroot u0\n"),
+    "xml": ('<semanticgraph version="1">\n'
+            '  <concept id="a" name="X">\n'
+            '    <role name="r" index="1" target="b"/>\n'
+            '    <role name="r" index="2" target="c"/>\n'
+            '  </concept>\n'
+            '  <entity id="b" value="v"><class name="k"/></entity>\n'
+            '  <omitted id="c"/>\n'
+            '</semanticgraph>\n'),
+}
+
+# format -> (library call, the errors it may raise, CLI arguments before the file)
+READERS = {
+    "amr": (lambda text: [penman.amr_to_graph(t) for t in penman.parse_penman_file(text)],
+            (penman.PenmanError,), ["convert", "--from", "amr", "--to", "xml"]),
+    "umr": (lambda text: penman.umr_to_graph(penman.parse_umr_document(text)),
+            (penman.PenmanError, penman.UmrError), ["convert", "--from", "umr", "--to", "xml"]),
+    "ttl": (lambda text: kg.events_to_graph(kg.parse_turtle(text)),
+            (kg.TurtleError,), ["convert", "--from", "ttl", "--to", "xml"]),
+    "conll": (lambda text: [conll.causation_to_graph(s) for s in conll.parse_conll(text)],
+              (conll.ConllError,), ["convert", "--from", "conll", "--to", "xml"]),
+    "ucca": (lambda text: ucca.ucca_to_graph(ucca.parse_ucca(text)),
+             (ucca.UccaError,), ["convert", "--from", "ucca", "--to", "xml"]),
+    "xml": (lambda text: validate(xmlio.from_xml(text)), (xmlio.XmlError,), ["validate"]),
+}
+
+# Characters that mean something to at least one format, plus ones that have
+# broken a reader before (\v, \f, '>'); arbitrary characters are drawn too.
+SPECIAL = list('()/:"~#\\<>@^;,.[]{}=-_ \t\n\v\f\r\x85\u2028') + ["B-Cause", "I-Effect"]
+
+
+@st.composite
+def mutated(draw, seed: str) -> str:
+    text = seed
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 6)))
+        piece = draw(st.lists(st.sampled_from(SPECIAL) | st.characters(), max_size=3))
+        text = text[:start] + "".join(piece) + text[end:]
+    return text
+
+
+@pytest.mark.parametrize("fmt", list(READERS))
+def test_reader_errors_are_source_errors(fmt):
+    assert all(issubclass(error, SourceError) for error in READERS[fmt][1])
+
+
+@pytest.mark.parametrize("fmt", list(READERS))
+def test_mutated_input_fails_cleanly(fmt, tmp_path):
+    convert, errors, command = READERS[fmt]
+    path = tmp_path / "input"
+
+    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @given(mutated(SEEDS[fmt]))
+    def check(text):
+        try:
+            convert(text)
+        except (*errors, GraphError):
+            pass
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, str(path)])
+        assert code in (0, 1, 2), err.getvalue()
+        if code == 1:
+            printed = (out.getvalue() + err.getvalue()).splitlines()
+            assert printed and all(line.split("\t")[0] in VIOLATION_CODES for line in printed)
+        if code == 2:
+            assert err.getvalue().startswith("semgraph: error: ")
+
+    check()

@@ -98,6 +98,12 @@ class TestParseTurtle:
         assert exc.value.line == 6
         assert exc.value.column is not None
 
+    @pytest.mark.parametrize("stray", [">", "\v", "\f"])
+    def test_stray_character_located(self, stray):
+        with pytest.raises(TurtleError) as exc:
+            parse_turtle(PREFIXES + f"wd:Q1 ex:p{stray}wd:Q2 .\n")
+        assert (exc.value.line, exc.value.column) == (5, 11)
+
     def test_bare_word_rejected(self):
         with pytest.raises(TurtleError):
             parse_turtle(PREFIXES + "wd:Q1 ex:p true .\n")

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -125,8 +128,9 @@ class TestAddEdge:
         with pytest.raises(GraphError) as exc:
             g.add_edge(concept, "r", "ghost")
         assert exc.value.code == DANGLING_TARGET
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError) as exc:
             g.add_edge("ghost", "r", concept)
+        assert exc.value.code == EDGE_FROM_NON_CONCEPT
 
     def test_indexed_slots_then_duplicate(self):
         g = SemanticGraph()
@@ -183,6 +187,22 @@ class TestValidate:
         g.edges.append(Edge(a, RoleLabel("subEvent", 1), b))
         g.edges.append(Edge(a, RoleLabel("subEvent", 3), b))
         assert [v.code for v in validate(g)] == [BAD_INDEX_SET]
+
+    def test_huge_index_checked_in_constant_memory(self):
+        # A role index comes from outside (an XML attribute), so the check may
+        # not build the range 1..index. The child's address space is capped so
+        # that a check that does fails with MemoryError instead of filling RAM.
+        script = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from semgraph.model import Edge, RoleLabel, SemanticGraph, validate\n"
+            "g = SemanticGraph(); a = g.add_concept('A')\n"
+            "g.edges.append(Edge(a, RoleLabel('r', 10**12), a))\n"
+            "print(*[v.code for v in validate(g)])\n")
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [BAD_INDEX_SET]
 
     def test_strict_requires_catalogue(self):
         with pytest.raises(ValueError):
@@ -352,6 +372,25 @@ class TestMerge:
         b = g2.add_entity("4", ["Y"])
         with pytest.raises(GraphError):
             merge(g1, g2, [(a, b)])
+
+    @pytest.mark.parametrize("index", [None, 1])
+    def test_fused_nodes_filling_same_slot_rejected(self, index):
+        g1, g2 = SemanticGraph(), SemanticGraph()
+        room1, room2 = g1.add_concept("Room"), g2.add_concept("Room")
+        g1.add_edge(room1, RoleLabel("r", index), g1.add_entity("a"))
+        g2.add_edge(room2, RoleLabel("r", index), g2.add_entity("b"))
+        with pytest.raises(GraphError) as exc:
+            merge(g1, g2, [(room1, room2)])
+        assert exc.value.code == DUPLICATE_ROLE_SLOT
+
+    def test_fused_nodes_with_distinct_slots_merge_valid(self):
+        g1, g2 = SemanticGraph(), SemanticGraph()
+        room1, room2 = g1.add_concept("Room"), g2.add_concept("Room")
+        g1.add_edge(room1, "r", g1.add_entity("a"))
+        g2.add_edge(room2, "s", g2.add_entity("b"))
+        merged = merge(g1, g2, [(room1, room2)])
+        assert len(merged.edges) == 2
+        assert validate(merged) == []
 
     def test_unknown_correspondence_id_rejected(self):
         g1 = SemanticGraph()

@@ -99,6 +99,18 @@ class TestParsePenmanFile:
         with pytest.raises(PenmanError) as exc:
             parse_penman_file(text)
         assert exc.value.offset == text.index("beta")
+        assert (exc.value.line, exc.value.column) == (3, 4)
+        assert str(exc.value) == "expected '/' after variable 'b' (line 3, column 4)"
+
+    @pytest.mark.parametrize("text,fault,column", [
+        ('(a / alpha)\n\n(b / beta :op ")\n', '"', 15),
+        ("(a / alpha)\n\n(b / beta :)\n", ":", 11),
+    ])
+    def test_token_error_offset_is_file_global(self, text, fault, column):
+        with pytest.raises(PenmanError) as exc:
+            parse_penman_file(text)
+        assert exc.value.offset == text.index(fault)
+        assert (exc.value.line, exc.value.column) == (3, column)
 
 
 class TestAmrToGraph:

@@ -108,7 +108,8 @@ class TestFromXml:
     def test_malformed_markup_reports_line(self):
         with pytest.raises(XmlSyntaxError) as exc:
             from_xml('<semanticgraph version="1">\n<concept id="a"')
-        assert exc.value.line is not None
+        assert (exc.value.line, exc.value.column) == (2, 1)
+        assert str(exc.value) == "malformed XML: unclosed token (line 2, column 1)"
 
     def test_dangling_target_names_the_id(self):
         document = ('<semanticgraph version="1"><concept id="a" name="X">'
