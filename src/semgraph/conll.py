@@ -13,6 +13,7 @@ from .model import (
     RoleSpec,
     SemanticGraph,
     SourceError,
+    _lines,
 )
 
 UNANALYSED_CLASS = "UnanalysedSubtree"
@@ -71,7 +72,7 @@ def parse_conll(text: str, default_language: str = "und") -> list[ConllSentence]
         tokens = []
         language = None
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, (_, line) in enumerate(_lines(text), start=1):
         if not line.strip():
             flush()
             continue

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .model import RoleLabel, SemanticGraph, SourceError, add_planned_edges, line_col
@@ -253,9 +253,8 @@ def parse_turtle(text: str) -> TripleStore:
 
 
 def _leaf_edge(graph: SemanticGraph, pred_node: str, obj: Term) -> tuple[str, RoleLabel, str]:
-    if obj.kind == RESOURCE:
-        return (pred_node, RoleLabel("id"), graph.add_entity(obj.text))
-    return (pred_node, RoleLabel("value"), graph.add_entity(obj.text))
+    role = "id" if obj.kind == RESOURCE else "value"
+    return (pred_node, RoleLabel(role), graph.add_entity(obj.text))
 
 
 def events_to_graph(store: TripleStore) -> SemanticGraph:
@@ -272,97 +271,88 @@ def events_to_graph(store: TripleStore) -> SemanticGraph:
     Triples whose subject is not a typed event yield the same detached
     predicate-concept/leaf pairs, so no triple is dropped.
     """
-    triples = store.triples
+    children = _events(store.triples)
     graph = SemanticGraph()
-    events: dict[str, str] = {}
-    for s, p, o in triples:
-        if (p.text == TYPE_PRED and o.kind == RESOURCE and o.text == EVENT_TYPE
-                and s.text not in events):
-            events[s.text] = graph.add_concept(EVENT_TYPE)
-    consumed: set[int] = set()
-    labels: dict[str, list[int]] = {name: [] for name in events}
-    children: dict[str, list[int]] = {name: [] for name in events}
-    for i, (s, p, o) in enumerate(triples):
-        if s.text in events and p.text == TYPE_PRED and o.kind == RESOURCE \
-                and o.text == EVENT_TYPE:
-            consumed.add(i)
-        elif s.text in events and p.text == LABEL_PRED and o.kind == LITERAL:
-            labels[s.text].append(i)
-            consumed.add(i)
-        elif p.text == SUBEVENT_PRED and s.text in events and o.kind == RESOURCE \
-                and o.text in events:
-            children[o.text].append(i)
-            consumed.add(i)
+    events = {name: graph.add_concept(EVENT_TYPE) for name in children}
+    labels: dict[str, list[str]] = {name: [] for name in events}
+    own: dict[str, list[tuple[Term, Term]]] = {name: [] for name in events}
+    islands: list[tuple[Term, Term]] = []
+    for s, p, o in store.triples:
+        if s.text not in events:
+            islands.append((p, o))
+        elif p.text == TYPE_PRED and o.kind == RESOURCE and o.text == EVENT_TYPE:
+            continue
+        elif p.text == LABEL_PRED and o.kind == LITERAL:
+            labels[s.text].append(o.text)
+        elif not (p.text == SUBEVENT_PRED and o.kind == RESOURCE and o.text in events):
+            own[s.text].append((p, o))
     for event, event_node in events.items():
         planned = [(event_node, RoleLabel("id"), graph.add_entity(event))]
-        label_triples = labels[event]
-        for position, i in enumerate(label_triples, start=1):
-            index = None if len(label_triples) == 1 else position
-            planned.append((event_node, RoleLabel(LABEL_PRED, index),
-                            graph.add_entity(triples[i][2].text)))
-        for position, i in enumerate(children[event], start=1):
-            planned.append((event_node, RoleLabel("subEvent", position),
-                            events[triples[i][0].text]))
-        own = [i for i, (s, _, _) in enumerate(triples)
-               if s.text == event and i not in consumed]
-        per_predicate = Counter(triples[i][1].text for i in own)
+        for position, label in enumerate(labels[event], start=1):
+            index = None if len(labels[event]) == 1 else position
+            planned.append((event_node, RoleLabel(LABEL_PRED, index), graph.add_entity(label)))
+        for position, child in enumerate(children[event], start=1):
+            planned.append((event_node, RoleLabel("subEvent", position), events[child]))
+        per_predicate = Counter(p.text for p, _ in own[event])
         seen: Counter = Counter()
-        for i in own:
-            _, p, o = triples[i]
+        for p, o in own[event]:
+            seen[p.text] += 1
+            index = seen[p.text] if per_predicate[p.text] > 1 else None
             pred_node = graph.add_concept(p.text)
-            if per_predicate[p.text] > 1:
-                seen[p.text] += 1
-                attach = RoleLabel(p.text, seen[p.text])
-            else:
-                attach = RoleLabel(p.text)
-            planned.append((event_node, attach, pred_node))
+            planned.append((event_node, RoleLabel(p.text, index), pred_node))
             planned.append(_leaf_edge(graph, pred_node, o))
-            consumed.add(i)
         add_planned_edges(graph, planned)
-    island_plan = []
-    for i, (s, p, o) in enumerate(triples):
-        if i in consumed:
-            continue
-        pred_node = graph.add_concept(p.text)
-        island_plan.append(_leaf_edge(graph, pred_node, o))
-    add_planned_edges(graph, island_plan)
+    add_planned_edges(graph, [_leaf_edge(graph, graph.add_concept(p.text), o)
+                              for p, o in islands])
     return graph
+
+
+def _events(triples: list[tuple[Term, Term, Term]]) -> dict[str, list[str]]:
+    """The typed events, in the order each is first typed, each mapped to its
+    sub-events: the typed events that declare sem:subEventOf it, in document
+    order."""
+    children: dict[str, list[str]] = {}
+    declared: list[tuple[str, str]] = []
+    for s, p, o in triples:
+        if p.text == TYPE_PRED and o.kind == RESOURCE and o.text == EVENT_TYPE:
+            children.setdefault(s.text, [])
+        elif p.text == SUBEVENT_PRED and o.kind == RESOURCE:
+            declared.append((s.text, o.text))
+    for child, parent in declared:
+        if child in children and parent in children:
+            children[parent].append(child)
+    return children
+
+
+def _top_level(children: dict[str, list[str]]) -> list[str]:
+    nested = {child for subs in children.values() for child in subs}
+    return [name for name in children if name not in nested]
 
 
 def top_level_events(store: TripleStore) -> list[str]:
     """Typed events that are not declared sub-events of another typed event."""
-    typed = set()
-    ordered = []
-    for s, p, o in store.triples:
-        if p.text == TYPE_PRED and o.kind == RESOURCE and o.text == EVENT_TYPE \
-                and s.text not in typed:
-            typed.add(s.text)
-            ordered.append(s.text)
-    nested = {s.text for s, p, o in store.triples
-              if p.text == SUBEVENT_PRED and s.text in typed
-              and o.kind == RESOURCE and o.text in typed}
-    return [name for name in ordered if name not in nested]
+    return _top_level(_events(store.triples))
 
 
 def split_events(store: TripleStore) -> list[TripleStore]:
     """One store per top-level event, holding the triples of the event and its
     transitive sub-events. Triples of subjects outside every event tree drop."""
-    typed = {s.text for s, p, o in store.triples
-             if p.text == TYPE_PRED and o.kind == RESOURCE and o.text == EVENT_TYPE}
-    children: dict[str, list[str]] = {}
-    for s, p, o in store.triples:
-        if p.text == SUBEVENT_PRED and s.text in typed and o.kind == RESOURCE \
-                and o.text in typed:
-            children.setdefault(o.text, []).append(s.text)
-    stores = []
-    for top in top_level_events(store):
+    children = _events(store.triples)
+    stores: list[TripleStore] = []
+    stores_of: dict[str, list[TripleStore]] = {}  # subject -> the stores whose tree holds it
+    for top in _top_level(children):
+        sub = TripleStore(dict(store.prefixes))
+        stores.append(sub)
         closure = {top}
-        queue = [top]
+        queue = deque([top])
         while queue:
-            for child in children.get(queue.pop(0), []):
+            name = queue.popleft()
+            stores_of.setdefault(name, []).append(sub)
+            for child in children[name]:
                 if child not in closure:
                     closure.add(child)
                     queue.append(child)
-        triples = [t for t in store.triples if t[0].text in closure]
-        stores.append(TripleStore(dict(store.prefixes), triples))
+    for triple in store.triples:
+        for sub in stores_of.get(triple[0].text, ()):
+            sub.triples.append(triple)
     return stores

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 
@@ -52,6 +52,15 @@ class SourceError(Exception):
 def line_col(text: str, offset: int) -> tuple[int, int]:
     """The 1-based (line, column) of character ``offset`` in ``text``."""
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each line of ``text`` with the offset it starts at. Lines end at "\\n"
+    only, as ``line_col`` counts them; a "\\r" ending a line is dropped."""
+    offset = 0
+    for line in text.split("\n"):
+        yield offset, line.removesuffix("\r")
+        offset += len(line) + 1
 
 
 class GraphError(ValueError):

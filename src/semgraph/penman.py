@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
-from .model import RoleLabel, SemanticGraph, SourceError, add_planned_edges, line_col
+from .model import RoleLabel, SemanticGraph, SourceError, _lines, add_planned_edges, line_col
 
 NODE = "node"
 REF = "ref"
@@ -72,29 +73,21 @@ class _Token:
     offset: int
 
 
-# The last alternative catches a quote that opens no complete string.
-_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[()/]|[^\s()/"]+|"')
+# A whole "#" comment line is one token, skipped, so that a quote inside it
+# opens no string; a "#word" after other text on its line stays a token. The
+# last alternative catches a quote that opens no complete string.
+_TOKEN_RE = re.compile(r'(?P<comment>^[^\S\n]*#.*)|"(?:[^"\\]|\\.)*"|[()/]|[^\s()/"]+|"',
+                       re.MULTILINE)
 _UNESCAPE_RE = re.compile(r"\\(.)")
-
-
-def _comment_spans(text: str, start: int, end: int) -> list[tuple[int, int]]:
-    spans = []
-    offset = start
-    for line in text[start:end].splitlines(keepends=True):
-        if line.lstrip().startswith("#"):
-            spans.append((offset, offset + len(line)))
-        offset += len(line)
-    return spans
 
 
 def _tokenize(text: str, start: int, end: int) -> list[_Token]:
     """Tokens of ``text[start:end]``, with offsets into the whole ``text``."""
-    comment = _comment_spans(text, start, end)
     tokens: list[_Token] = []
     for match in _TOKEN_RE.finditer(text, start, end):
-        at = match.start()
-        if any(a <= at < b for a, b in comment):
+        if match.lastgroup == "comment":
             continue
+        at = match.start()
         value = match.group(0)
         if value == '"':
             raise PenmanError("unexpected character '\"'", text, at)
@@ -192,7 +185,10 @@ def _parse_tokens(tokens: list[_Token], text: str, end: int) -> PenmanTree:
     stream = _TokenStream(tokens, text, end)
     concepts: dict[str, str] = {}
     slots: list[Slot] = []
-    root = _parse_node(stream, concepts, slots)
+    try:
+        root = _parse_node(stream, concepts, slots)
+    except RecursionError:
+        raise stream.fail("expression nested too deeply", tokens[0].offset) from None
     trailing = stream.peek()
     if trailing is not None:
         raise stream.fail("unexpected trailing content", trailing.offset)
@@ -216,28 +212,23 @@ def parse_penman(text: str) -> PenmanTree:
     return _parse_tokens(tokens, text, len(text))
 
 
-def _blocks(text: str) -> list[tuple[int, int]]:
-    """The (start, end) offsets of the runs of non-blank lines."""
-    blocks = []
-    offset = 0
-    start = None
-    for line in text.splitlines(keepends=True):
+def _blocks(text: str) -> Iterator[tuple[int, int, list[tuple[int, str]]]]:
+    """The runs of non-blank lines, each as (start, end, its (offset, line) pairs)."""
+    run: list[tuple[int, str]] = []
+    for offset, line in _lines(text):
         if line.strip():
-            if start is None:
-                start = offset
-        elif start is not None:
-            blocks.append((start, offset))
-            start = None
-        offset += len(line)
-    if start is not None:
-        blocks.append((start, len(text)))
-    return blocks
+            run.append((offset, line))
+        elif run:
+            yield run[0][0], offset, run
+            run = []
+    if run:
+        yield run[0][0], len(text), run
 
 
 def parse_penman_file(text: str) -> list[PenmanTree]:
     """Parse a file of blank-line-separated PENMAN expressions."""
     trees = []
-    for start, end in _blocks(text):
+    for start, end, _ in _blocks(text):
         tokens = _tokenize(text, start, end)
         if tokens:  # else a comment-only block
             trees.append(_parse_tokens(tokens, text, end))
@@ -251,19 +242,14 @@ def parse_umr_document(text: str) -> UmrDocument:
     """Parse sentence expressions plus ``# doc`` blocks of (source rel target) lines."""
     sentences: list[PenmanTree] = []
     relations: list[DocRelation] = []
-    for start, end in _blocks(text):
-        lines = text[start:end].splitlines(keepends=True)
-        first = next((line for line in lines if line.strip()), "")
-        if first.strip() == "# doc":
-            offset = start
-            for line in lines:
-                stripped = line.strip()
-                if stripped and not stripped.startswith("#"):
-                    match = _DOC_RELATION_RE.match(stripped)
+    for start, end, lines in _blocks(text):
+        if lines[0][1].strip() == "# doc":
+            for offset, line in lines:
+                if not line.lstrip().startswith("#"):
+                    match = _DOC_RELATION_RE.match(line.strip())
                     if not match:
                         raise PenmanError("malformed document-level relation", text, offset)
                     relations.append(DocRelation(*match.groups()))
-                offset += len(line)
         else:
             tokens = _tokenize(text, start, end)
             if tokens:
@@ -289,17 +275,7 @@ def amr_to_graph(tree: PenmanTree) -> SemanticGraph:
     entity, and each slot becomes a role edge; variable references connect to
     the already-created node. No variables survive in the output.
     """
-    graph = SemanticGraph()
-    var_node = {var: graph.add_concept(label) for var, label in tree.concepts.items()}
-    planned: list[tuple[str, RoleLabel, str]] = []
-    for slot in tree.slots:
-        source = var_node[slot.owner]
-        if slot.kind == CONST:
-            _plan_slot_edge(planned, source, slot.role, graph.add_entity(slot.value), False)
-        else:
-            _plan_slot_edge(planned, source, slot.role, var_node[slot.value], True)
-    add_planned_edges(graph, planned)
-    return graph
+    return _to_graph([tree], [])
 
 
 def umr_to_graph(document: UmrDocument) -> SemanticGraph:
@@ -312,16 +288,20 @@ def umr_to_graph(document: UmrDocument) -> SemanticGraph:
     (x, rel, y) -- temporal, modal or coreference -- is added as an x -rel-> y
     edge between the corresponding nodes, never by unifying them.
     """
+    return _to_graph(document.sentences, document.relations)
+
+
+def _to_graph(sentences: list[PenmanTree], relations: list[DocRelation]) -> SemanticGraph:
     var_defined: set[str] = set()
-    for tree in document.sentences:
+    for tree in sentences:
         for var in tree.concepts:
             if var in var_defined:
                 raise UmrError(f"variable '{var}' is defined in more than one sentence")
             var_defined.add(var)
-    const_tokens = {slot.value for tree in document.sentences
+    const_tokens = {slot.value for tree in sentences
                     for slot in tree.slots if slot.kind == CONST}
     promoted: set[str] = set()
-    for relation in document.relations:
+    for relation in relations:
         if relation.source not in var_defined:
             if relation.source in const_tokens:
                 promoted.add(relation.source)
@@ -336,7 +316,7 @@ def umr_to_graph(document: UmrDocument) -> SemanticGraph:
     promoted_node: dict[str, str] = {}
     const_entity: dict[str, str] = {}
     planned: list[tuple[str, RoleLabel, str]] = []
-    for tree in document.sentences:
+    for tree in sentences:
         for var, label in tree.concepts.items():
             var_node[var] = graph.add_concept(label)
         for slot in tree.slots:
@@ -354,7 +334,7 @@ def umr_to_graph(document: UmrDocument) -> SemanticGraph:
                     _plan_slot_edge(planned, source, slot.role, node, False)
             else:
                 _plan_slot_edge(planned, source, slot.role, var_node[slot.value], True)
-    for relation in document.relations:
+    for relation in relations:
         source = var_node.get(relation.source, promoted_node.get(relation.source))
         target = var_node.get(relation.target)
         if target is None:

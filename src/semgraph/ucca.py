@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import RoleLabel, SemanticGraph, SourceError, add_planned_edges
+from .model import RoleLabel, SemanticGraph, SourceError, _lines, add_planned_edges
 
 UNIT_CONCEPT = "UCCA.Unit"
 TERMINAL_CLASS = "UCCA.Terminal"
@@ -48,7 +48,7 @@ def parse_ucca(text: str) -> UccaPassage:
     edges: list[UccaEdge] = []
     edge_lines: list[int] = []
     root: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, (_, raw) in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -24,6 +24,7 @@ from .model import (
     SemanticGraph,
     SourceError,
     _ID_RE,
+    line_col,
     validate,
 )
 
@@ -90,9 +91,24 @@ def to_xml(graph: SemanticGraph) -> str:
     return "".join(parts)
 
 
+class _NoDoctype(ET.TreeBuilder):
+    """Builds the element tree of ``text`` but refuses a DOCTYPE: its internal
+    subset can declare entities that expand to any text, and the exchange
+    format has no use for one."""
+
+    def __init__(self, text: str):
+        super().__init__()
+        self.text = text
+
+    def doctype(self, name, pubid, system):
+        # Only the XML declaration, comments, PIs and white space precede it.
+        at = re.match(r"(?:<\?.*?\?>|<!--.*?-->|\s)*", self.text, re.DOTALL).end()
+        raise XmlSchemaError("DOCTYPE declarations are not allowed", *line_col(self.text, at))
+
+
 def _parse_root(text: str, expected_tag: str) -> ET.Element:
     try:
-        root = ET.fromstring(text)
+        root = ET.fromstring(text, parser=ET.XMLParser(target=_NoDoctype(text)))
     except ET.ParseError as exc:
         line, column = exc.position
         raise XmlSyntaxError(f"malformed XML: {expat.ErrorString(exc.code)}",
@@ -154,7 +170,10 @@ def _read_role(element: ET.Element, source: str) -> tuple[str, RoleLabel, str]:
         if not _INDEX_RE.match(index_text):
             raise XmlSchemaError(
                 f"role index must be a positive integer, got {index_text!r}")
-        index = int(index_text)
+        try:
+            index = int(index_text)
+        except ValueError:  # more digits than int() converts
+            raise XmlSchemaError(f"role index has too many digits ({len(index_text)})") from None
     return source, RoleLabel(name, index), element.get("target", "")
 
 

@@ -203,8 +203,13 @@ class TestExitCodeMatrix:
          "1\ta\ta\tX\t_\t_\t0\td\tB-Cause\n2\tb\tb\tX\t_\t_\t0\td\tB-Nope\n", "(line 2)"),
         (["convert", "--from", "ucca", "--to", "xml"],
          "unit u0\nroot u0\nunit u0\n", "(line 3)"),
+        (["convert", "--from", "ucca", "--to", "xml"],
+         "# passage\vnote\nunit u0\nroot u0\nunit u0\n", "(line 4)"),
+        (["convert", "--from", "conll", "--to", "xml"],
+         "# a\x85b\n1\ta\ta\tX\t_\t_\t0\td\tB-Cause\n2\tb\tb\tX\t_\t_\t0\td\tB-Nope\n",
+         "(line 3)"),
         (["validate"], '<semanticgraph version="1">\n<concept id="a"', "(line 2, column 1)"),
-    ], ids=["amr", "umr", "ttl", "conll", "ucca", "validate"])
+    ], ids=["amr", "umr", "ttl", "conll", "ucca", "ucca-vt", "conll-nel", "validate"])
     def test_malformed_input_reports_location(self, tmp_path, capsys, command, text, location):
         source = tmp_path / "bad.txt"
         source.write_text(text, encoding="utf-8")
@@ -215,6 +220,28 @@ class TestExitCodeMatrix:
         assert len(lines) == 1
         assert lines[0].startswith("semgraph: error: ")
         assert lines[0].endswith(location)
+
+    @pytest.mark.parametrize("command,text,message", [
+        (["convert", "--from", "amr", "--to", "xml"],
+         "(a / alpha)\n\n" + "".join(f"(a{i} / x :r " for i in range(1200)) + "1" + ")" * 1200,
+         "expression nested too deeply (line 3, column 1)"),
+        (["validate"],
+         '<semanticgraph version="1"><concept id="a" name="X">'
+         f'<role name="r" index="1{"0" * 5000}" target="a"/></concept></semanticgraph>',
+         "role index has too many digits (5001)"),
+        (["render"],
+         '<!DOCTYPE s [<!ENTITY a "Room">]>\n<semanticgraph version="1">'
+         '<concept id="a" name="&a;"/></semanticgraph>',
+         "DOCTYPE declarations are not allowed (line 1, column 1)"),
+    ], ids=["amr-nesting", "validate-index", "render-doctype"])
+    def test_input_past_a_reader_limit_is_data_error(self, tmp_path, capsys, command, text,
+                                                     message):
+        source = tmp_path / "bad.txt"
+        source.write_text(text, encoding="utf-8")
+        assert main([*command, str(source)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"semgraph: error: {message}\n"
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["validate", "--frobnicate", str(tmp_path)]) == 3

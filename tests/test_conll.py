@@ -54,6 +54,19 @@ class TestParseConll:
             parse_conll("1\tla\tB-Cause\n")
         assert "9 tab-separated columns" in str(exc.value)
 
+    def test_lines_end_at_newline_only(self):
+        text = _sentence_text([("a", "B-Cause"), ("b", "B-Effect")])
+        assert len(parse_conll("# a\x85b\f\n" + text)) == 1
+        with pytest.raises(ConllError) as exc:
+            parse_conll("# a\u2028b\n" + _line(1, "a", "B-Nope") + "\n")
+        assert exc.value.line == 2
+
+    def test_crlf_lines(self):
+        text = _sentence_text([("a", "B-Cause"), ("b", "B-Effect")]).replace("\n", "\r\n")
+        [sentence] = parse_conll(text)
+        assert [t.causation for t in sentence.tokens] == ["B-Cause", "B-Effect"]
+        assert sentence.language == "it"
+
     def test_non_contiguous_ids_rejected(self):
         text = "\n".join([_line(1, "a", "O"), _line(3, "b", "B-Cause")]) + "\n"
         with pytest.raises(ConllError) as exc:

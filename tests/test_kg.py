@@ -239,3 +239,59 @@ class TestSplitEvents:
         stores = split_events(parse_turtle(text))
         assert len(stores) == 1
         assert all(t[0].text != "wd:P9" for t in stores[0].triples)
+
+    def test_shared_subevent_goes_to_both_stores(self):
+        text = PREFIXES + """
+ex:a a sem:Event .
+ex:b a sem:Event .
+ex:s a sem:Event ; sem:subEventOf ex:a , ex:b ; ex:p "shared" .
+"""
+        store = parse_turtle(text)
+        assert top_level_events(store) == ["ex:a", "ex:b"]
+        first, second = split_events(store)
+        assert first.triples == [t for t in store.triples if t[0].text in ("ex:a", "ex:s")]
+        assert second.triples == [t for t in store.triples if t[0].text in ("ex:b", "ex:s")]
+
+    def test_subevent_cycle(self):
+        cycle = PREFIXES + """
+ex:a a sem:Event ; sem:subEventOf ex:b .
+ex:b a sem:Event ; sem:subEventOf ex:a .
+"""
+        assert top_level_events(parse_turtle(cycle)) == []
+        assert split_events(parse_turtle(cycle)) == []
+        store = parse_turtle(cycle + "ex:top a sem:Event .\nex:a sem:subEventOf ex:top .\n")
+        assert top_level_events(store) == ["ex:top"]
+        [only] = split_events(store)
+        assert only.triples == store.triples
+        g = events_to_graph(store)
+        assert len([e for e in g.edges if e.label.name == "subEvent"]) == 3
+        assert validate(g) == []
+
+    def test_duplicate_typing_triples(self):
+        text = PREFIXES + "ex:a a sem:Event .\nex:a a sem:Event ; rdfs:label \"A\" .\n"
+        store = parse_turtle(text)
+        assert top_level_events(store) == ["ex:a"]
+        [only] = split_events(store)
+        assert only.triples == store.triples
+        g = events_to_graph(store)
+        assert [n.name for n in g.nodes.values() if isinstance(n, ConceptNode)] == ["sem:Event"]
+        assert validate(g) == []
+
+    def test_interleaved_trees_keep_document_order(self):
+        text = PREFIXES + """
+ex:a a sem:Event .
+ex:b a sem:Event .
+ex:a ex:p "1" .
+ex:b2 sem:subEventOf ex:b ; a sem:Event .
+ex:a2 a sem:Event ; ex:p "2" .
+ex:b ex:p "3" .
+ex:a2 sem:subEventOf ex:a .
+ex:b2 ex:p "4" .
+ex:a ex:p "5" .
+"""
+        store = parse_turtle(text)
+        first, second = split_events(store)
+        assert first.triples == [t for t in store.triples if t[0].text in ("ex:a", "ex:a2")]
+        assert second.triples == [t for t in store.triples if t[0].text in ("ex:b", "ex:b2")]
+        assert first.prefixes == second.prefixes == store.prefixes
+        assert first.prefixes is not store.prefixes

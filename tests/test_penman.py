@@ -6,9 +6,11 @@ from semgraph.penman import (
     NODE,
     REF,
     PenmanError,
+    UmrDocument,
     amr_to_graph,
     parse_penman,
     parse_penman_file,
+    umr_to_graph,
 )
 from semgraph.xmlio import to_xml
 from helpers import shape
@@ -64,6 +66,24 @@ class TestParsePenman:
         assert tree.concepts == {"b": "boy", "t": "tall"}
         assert tree.slots[0].role == "mod"
 
+    def test_comment_line_may_hold_a_quote(self):
+        text = '# ::snt He said "go\n(g / go-01 :ARG0 (b / boy :name "Bob"))'
+        tree = parse_penman(text)
+        assert tree.concepts == {"g": "go-01", "b": "boy"}
+        assert (tree.slots[-1].kind, tree.slots[-1].value) == (CONST, "Bob")
+
+    def test_hash_word_after_other_text_is_a_token(self):
+        tree = parse_penman("(a / A :mod #x\n  # a comment line\n)")
+        assert [(slot.kind, slot.value) for slot in tree.slots] == [(CONST, "#x")]
+
+    def test_deep_nesting_rejected_at_first_token(self):
+        depth = 1200
+        text = "".join(f"(a{i} / x :r " for i in range(depth)) + "1" + ")" * depth
+        with pytest.raises(PenmanError) as exc:
+            parse_penman_file("(a / alpha)\n\n" + text)
+        assert exc.value.reason == "expression nested too deeply"
+        assert (exc.value.line, exc.value.column) == (3, 1)
+
     @pytest.mark.parametrize("text,fragment", [
         ("(b / boy", "missing ')'"),
         ("(b boy)", "expected '/'"),
@@ -91,6 +111,17 @@ class TestParsePenman:
 class TestParsePenmanFile:
     def test_blank_line_separated_blocks(self):
         text = "(a / alpha)\n\n# comment only\n\n(b / beta :mod (c / gamma))\n"
+        trees = parse_penman_file(text)
+        assert [tree.root for tree in trees] == ["a", "b"]
+
+    def test_lines_end_at_newline_only(self):
+        text = "(a / alpha)\n\n# note\u2028more\v\n(b beta)\n"
+        with pytest.raises(PenmanError) as exc:
+            parse_penman_file(text)
+        assert (exc.value.line, exc.value.column) == (4, 4)
+
+    def test_crlf_blocks(self):
+        text = "(a / alpha)\r\n\r\n# c\r\n(b / beta\r\n  :mod (c / gamma))\r\n"
         trees = parse_penman_file(text)
         assert [tree.root for tree in trees] == ["a", "b"]
 
@@ -176,6 +207,11 @@ class TestAmrToGraph:
         g = amr_to_graph(parse_penman("(a / A :op1 3 :op2 3)"))
         values = [n.value for n in g.nodes.values() if isinstance(n, EntityNode)]
         assert values == ["3", "3"]
+
+    def test_equals_one_sentence_umr_document(self):
+        for text in AMR_SUITE:
+            tree = parse_penman(text)
+            assert to_xml(amr_to_graph(tree)) == to_xml(umr_to_graph(UmrDocument([tree], [])))
 
 
 AMR_SUITE = [

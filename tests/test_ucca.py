@@ -70,6 +70,15 @@ class TestParseUcca:
             parse_ucca("node u1\n")
         assert exc.value.line == 1
 
+    def test_lines_end_at_newline_only(self):
+        with pytest.raises(UccaError) as exc:
+            parse_ucca("# passage\vnote\x1c\u2029\nroot u1\nunit u1\nnode u2\n")
+        assert (exc.value.reason, exc.value.line) == ("unknown record type 'node'", 4)
+
+    def test_crlf_lines(self):
+        passage = parse_ucca("root u1\r\nunit u1\r\nterm t1 Golf\r\nedge u1 t1 A\r\n")
+        assert passage.nodes["t1"].text == "Golf"
+
     def test_comments_and_blanks_skipped(self):
         passage = parse_ucca("# a comment\n\nroot u1\nunit u1\nterm t1 x\nedge u1 t1 A\n")
         assert len(passage.nodes) == 2

@@ -111,6 +111,23 @@ class TestFromXml:
         assert (exc.value.line, exc.value.column) == (2, 1)
         assert str(exc.value) == "malformed XML: unclosed token (line 2, column 1)"
 
+    @pytest.mark.parametrize("read,root", [(from_xml, "semanticgraph"),
+                                           (catalogue_from_xml, "catalogue")])
+    def test_doctype_rejected_with_line(self, read, root):
+        document = (f'<?xml version="1.0"?>\n<!-- <!DOCTYPE -->\n'
+                    f'<!DOCTYPE {root} [<!ENTITY a "Room">]>\n<{root} version="1"/>')
+        with pytest.raises(XmlSchemaError) as exc:
+            read(document)
+        assert str(exc.value) == "DOCTYPE declarations are not allowed (line 3, column 1)"
+
+    def test_index_too_long_for_int_rejected(self):
+        document = ('<semanticgraph version="1"><concept id="a" name="X">'
+                    f'<role name="r" index="1{"0" * 5000}" target="a"/>'
+                    '</concept></semanticgraph>')
+        with pytest.raises(XmlSchemaError) as exc:
+            from_xml(document)
+        assert str(exc.value) == "role index has too many digits (5001)"
+
     def test_dangling_target_names_the_id(self):
         document = ('<semanticgraph version="1"><concept id="a" name="X">'
                     '<role name="r" target="zz"/></concept></semanticgraph>')
