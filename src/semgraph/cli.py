@@ -7,7 +7,6 @@ conversion error, 3 usage error. Diagnostics go to stderr, data to stdout.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 import tempfile
@@ -108,7 +107,7 @@ def _cmd_convert(args) -> int:
         return 2
     serialize = xmlio.to_xml if args.target == "xml" else dot.to_dot
     if args.combine or len(graphs) == 1:
-        combined = functools.reduce(model.merge, graphs)
+        combined = graphs[0] if len(graphs) == 1 else model.union(graphs)
         _write(args.output, _with_newline(serialize(combined)))
         return 0
     if not args.output:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .model import ConceptNode, Edge, EntityNode, InvalidGraphError, SemanticGraph, validate
+from .model import ConceptNode, EntityNode, InvalidGraphError, SemanticGraph, validate
 
 
 def _quote(text: str) -> str:
@@ -22,22 +22,20 @@ def to_dot(graph: SemanticGraph) -> str:
     if violations:
         raise InvalidGraphError(violations)
     lines = ["digraph semanticgraph {", "  rankdir=TB;"]
+    edge_lines = []  # after all node statements; only concepts have out-edges
     for node_id in sorted(graph.nodes):
         node = graph.nodes[node_id]
         if isinstance(node, ConceptNode):
             lines.append(f'  "{_quote(node_id)}" [shape=box, label="{_quote(node.name)}"];')
+            for edge in graph.out_edges(node_id):
+                edge_lines.append(f'  "{_quote(edge.source)}" -> "{_quote(edge.target)}"'
+                                  f' [label="{_quote(str(edge.label))}"];')
         elif isinstance(node, EntityNode):
             label = "\n".join([*node.classes, node.value])
             lines.append(f'  "{_quote(node_id)}" [shape=ellipse, label="{_quote(label)}"];')
         else:
             lines.append(f'  "{_quote(node_id)}" [shape=circle, style=filled,'
                          ' fillcolor=gray, label=""];')
-    edges_of: dict[str, list[Edge]] = {}
-    for edge in graph.edges:
-        edges_of.setdefault(edge.source, []).append(edge)
-    for source in sorted(edges_of):
-        for edge in edges_of[source]:
-            lines.append(f'  "{_quote(edge.source)}" -> "{_quote(edge.target)}"'
-                         f' [label="{_quote(str(edge.label))}"];')
+    lines.extend(edge_lines)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -169,13 +169,31 @@ class SemanticGraph:
     methods guard the structural rules at construction time, so a graph built
     only through them always passes lax validation. Graphs are meant to be
     built single-threaded and treated as immutable once construction is done;
-    no operation in this module mutates a finished graph.
+    no operation in this module changes the nodes or edges of a finished
+    graph.
+
+    Beside ``edges`` the graph keeps an adjacency: per source node, its
+    out-edges in insertion order. ``add_edge`` checks a new edge against its
+    source's edges alone, and ``out_edges`` and the serializers read it. It is
+    filled lazily: each read first indexes the edges appended to ``edges``
+    since the last one, so an edge appended to ``edges`` directly (as
+    ``merge``, ``union`` and ``from_xml`` do) is seen too. Edges may only be
+    appended; removing or replacing edges in ``edges`` is not supported.
     """
 
     def __init__(self):
         self.nodes: dict[str, Node] = {}
         self.edges: list[Edge] = []
         self._id_counter = 0
+        self._out: dict[str, list[Edge]] = {}
+        self._indexed = 0  # edges[:_indexed] are in _out
+
+    def _adjacency(self) -> dict[str, list[Edge]]:
+        """Source id -> its out-edges, after indexing the edges not yet in it."""
+        for edge in self.edges[self._indexed:]:
+            self._out.setdefault(edge.source, []).append(edge)
+        self._indexed = len(self.edges)
+        return self._out
 
     def _fresh_id(self) -> str:
         while True:
@@ -227,14 +245,15 @@ class SemanticGraph:
                 f"omitted node '{source}' cannot have outgoing edges", OMITTED_OUT_EDGE)
         if target not in self.nodes:
             raise GraphError(f"edge target '{target}' is not in the graph", DANGLING_TARGET)
-        same_name = [e.label.index for e in self.edges
-                     if e.source == source and e.label.name == label.name]
+        same_name = [e.label.index for e in self._adjacency().get(source, ())
+                     if e.label.name == label.name]
         if label.index in same_name:
             raise GraphError(
                 f"role slot '{label}' of '{source}' is already filled", DUPLICATE_ROLE_SLOT)
         if label.index is not None:
             indices = {i for i in same_name if i is not None} | {label.index}
-            if indices != set(range(1, len(indices) + 1)):
+            # k distinct indices >= 1 are 1..k exactly when the largest is k.
+            if len(indices) != max(indices):
                 raise GraphError(
                     f"adding '{label}' to '{source}' would leave indices {sorted(indices)}"
                     " non-contiguous", BAD_INDEX_SET)
@@ -243,23 +262,32 @@ class SemanticGraph:
         return edge
 
     def out_edges(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.source == node_id]
+        """The edges leaving ``node_id``, in insertion order."""
+        return list(self._adjacency().get(node_id, ()))
 
     def in_edges(self, node_id: str) -> list[Edge]:
         return [e for e in self.edges if e.target == node_id]
 
     def structurally_equal(self, other: SemanticGraph) -> bool:
-        """True if both graphs have the same ids, node payloads and edge multiset."""
-        if set(self.nodes) != set(other.nodes):
-            return False
-        for node_id, node in self.nodes.items():
-            if node != other.nodes[node_id]:
-                return False
+        """True if both graphs have the same ``structure_key``."""
+        return structure_key(self) == structure_key(other)
 
-        def key(e: Edge):
-            return (e.source, e.label.name, e.label.index or 0, e.target)
 
-        return sorted(self.edges, key=key) == sorted(other.edges, key=key)
+def structure_key(graph: SemanticGraph):
+    """Hashable key identifying a graph up to edge order: node ids with their
+    kinds and payloads (concept name, or entity value and classes), and the
+    edges as a multiset."""
+    nodes = []
+    for node_id, node in graph.nodes.items():
+        if isinstance(node, ConceptNode):
+            nodes.append((node_id, "concept", node.name))
+        elif isinstance(node, EntityNode):
+            nodes.append((node_id, "entity", node.value, tuple(node.classes)))
+        else:
+            nodes.append((node_id, "omitted"))
+    edges = sorted((e.source, e.label.name, e.label.index or 0, e.target)
+                   for e in graph.edges)
+    return tuple(sorted(nodes)), tuple(edges)
 
 
 def add_planned_edges(graph: SemanticGraph,
@@ -295,6 +323,18 @@ def _copy_node_into(out: SemanticGraph, node: Node) -> str:
     if isinstance(node, EntityNode):
         return out.add_entity(node.value, list(node.classes))
     return out.add_omitted()
+
+
+def _copy_into(out: SemanticGraph, graph: SemanticGraph, ids: dict[str, str]) -> dict[str, str]:
+    """Copy ``graph``'s nodes, then its edges, into ``out`` under fresh ids, in
+    insertion order. A node already in ``ids`` is fused: it maps to the ``out``
+    id given there and is not copied. Returns ``ids``, extended to map every
+    node of ``graph`` to its id in ``out``."""
+    for node_id, node in graph.nodes.items():
+        if node_id not in ids:
+            ids[node_id] = _copy_node_into(out, node)
+    out.edges.extend(Edge(ids[e.source], e.label, ids[e.target]) for e in graph.edges)
+    return ids
 
 
 def _check_fusable(a: Node, b: Node) -> None:
@@ -343,14 +383,22 @@ def merge(g1: SemanticGraph, g2: SemanticGraph,
                 raise GraphError(f"role slot '{e.label}' of '{fused_of_g2[e.source]}'"
                                  " is filled in both graphs", DUPLICATE_ROLE_SLOT)
     out = SemanticGraph()
-    map1 = {nid: _copy_node_into(out, node) for nid, node in g1.nodes.items()}
-    map2 = {}
-    for nid, node in g2.nodes.items():
-        map2[nid] = map1[fused_of_g2[nid]] if nid in fused_of_g2 else _copy_node_into(out, node)
-    for e in g1.edges:
-        out.edges.append(Edge(map1[e.source], e.label, map1[e.target]))
-    for e in g2.edges:
-        out.edges.append(Edge(map2[e.source], e.label, map2[e.target]))
+    map1 = _copy_into(out, g1, {})
+    _copy_into(out, g2, {id2: map1[id1] for id2, id1 in fused_of_g2.items()})
+    return out
+
+
+def union(graphs: Iterable[SemanticGraph]) -> SemanticGraph:
+    """Disjoint union of any number of graphs, built in one pass.
+
+    No input is mutated. The result is what folding ``merge`` over the graphs
+    with no correspondence gives, in time linear in their total size: the
+    nodes of the first graph, then of the second and so on, renumbered
+    ``n1..nN`` in that order, and the edges in the same order.
+    """
+    out = SemanticGraph()
+    for graph in graphs:
+        _copy_into(out, graph, {})
     return out
 
 

@@ -29,6 +29,7 @@ from .model import (
 )
 
 _INDEX_RE = re.compile(r"[1-9][0-9]*\Z")
+_FEED_CHARS = 1 << 16
 
 
 class XmlError(SourceError):
@@ -58,14 +59,11 @@ def to_xml(graph: SemanticGraph) -> str:
         raise InvalidGraphError(violations)
     if not graph.nodes:
         return '<semanticgraph version="1"/>'
-    roles_of: dict[str, list[Edge]] = {}
-    for edge in graph.edges:
-        roles_of.setdefault(edge.source, []).append(edge)
     parts = ['<semanticgraph version="1">']
     for node_id in sorted(graph.nodes):
         node = graph.nodes[node_id]
         if isinstance(node, ConceptNode):
-            edges = roles_of.get(node_id, [])
+            edges = graph.out_edges(node_id)
             head = f'<concept id="{_escape(node_id)}" name="{_escape(node.name)}"'
             if not edges:
                 parts.append(head + "/>")
@@ -107,8 +105,13 @@ class _NoDoctype(ET.TreeBuilder):
 
 
 def _parse_root(text: str, expected_tag: str) -> ET.Element:
+    # Fed in chunks: an error raised by the target (a DOCTYPE) ends the feed
+    # call it happens in, but expat would otherwise read on to the end.
+    parser = ET.XMLParser(target=_NoDoctype(text))
     try:
-        root = ET.fromstring(text, parser=ET.XMLParser(target=_NoDoctype(text)))
+        for start in range(0, len(text), _FEED_CHARS):
+            parser.feed(text[start:start + _FEED_CHARS])
+        root = parser.close()
     except ET.ParseError as exc:
         line, column = exc.position
         raise XmlSyntaxError(f"malformed XML: {expat.ErrorString(exc.code)}",

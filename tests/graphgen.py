@@ -60,14 +60,3 @@ def corpus(seed: int, count: int, **kwargs) -> list[SemanticGraph]:
     rng = random.Random(seed)
     return [random_graph(rng, **kwargs) for _ in range(count)]
 
-
-def structure_key(graph: SemanticGraph):
-    """Hashable key identifying a graph up to edge order (ids included)."""
-    nodes = tuple(sorted(
-        (node_id, type(node).__name__,
-         getattr(node, "name", None) or getattr(node, "value", ""),
-         tuple(getattr(node, "classes", ())))
-        for node_id, node in graph.nodes.items()))
-    edges = tuple(sorted(
-        (e.source, e.label.name, e.label.index or 0, e.target) for e in graph.edges))
-    return nodes, edges

@@ -48,7 +48,10 @@ def shape(graph: SemanticGraph):
     """Id-independent signature: node payload multiset plus edges over payloads.
 
     Only discriminating when node payloads are pairwise distinct, which the
-    tests using it guarantee.
+    tests using it guarantee. It is a test helper, not a second canonical key:
+    ``semgraph.model.structure_key`` compares graphs with their ids, while
+    this compares conversion output against hand-built graphs whose ids
+    differ.
     """
     payload = {}
     for node_id, node in graph.nodes.items():

@@ -20,13 +20,14 @@ from semgraph.model import (
     ConceptNode,
     EntityNode,
     OmittedNode,
+    structure_key,
     validate,
 )
 from semgraph.penman import amr_to_graph, parse_penman, parse_umr_document, umr_to_graph
 from semgraph.ucca import parse_ucca, ucca_to_graph
 from semgraph.xmlio import from_xml, to_xml
 
-from graphgen import corpus, structure_key
+from graphgen import corpus
 from helpers import fig1_catalogue, fig1_graph, shape
 from test_kg import GOLDEN
 from test_model import VIOLATION_MATRIX

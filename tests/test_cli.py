@@ -1,12 +1,15 @@
+import functools
 import re
 
 import pytest
 
 from semgraph.cli import main
+from semgraph.dot import to_dot
 from semgraph.kg import events_to_graph, parse_turtle
-from semgraph.model import validate
-from semgraph.xmlio import catalogue_to_xml, from_xml
-from semgraph.conll import causation_catalogue
+from semgraph.model import merge, validate
+from semgraph.penman import amr_to_graph, parse_penman_file
+from semgraph.xmlio import catalogue_to_xml, from_xml, to_xml
+from semgraph.conll import causation_catalogue, causation_to_graph, parse_conll
 
 TTL = """\
 @prefix wd:   <http://www.wikidata.org/entity/> .
@@ -73,6 +76,24 @@ class TestConvert:
         graph = from_xml(capsys.readouterr().out)
         names = [n.name for n in graph.nodes.values() if hasattr(n, "name")]
         assert names.count("Sentence") == 2
+
+    @pytest.mark.parametrize("source,text,convert", [
+        ("amr", AMR + "\n(s / sleep-01 :ARG0 (b / boy))\n\n" + AMR,
+         lambda text: [amr_to_graph(t) for t in parse_penman_file(text)]),
+        ("conll", "1\ta\ta\tX\t_\t_\t0\td\tB-Cause\n2\tb\tb\tX\t_\t_\t1\td\tB-Effect\n\n"
+         "1\tc\tc\tX\t_\t_\t0\td\tB-Effect\n\n1\td\td\tX\t_\t_\t0\td\tB-Cause\n",
+         lambda text: [causation_to_graph(s) for s in parse_conll(text, default_language="und")]),
+    ], ids=["amr", "conll"])
+    @pytest.mark.parametrize("target,serialize", [("xml", to_xml), ("dot", to_dot)])
+    def test_combine_gives_the_bytes_of_folding_merge(self, tmp_path, capsys, source, text,
+                                                      convert, target, serialize):
+        path = tmp_path / f"in.{source}"
+        path.write_text(text, encoding="utf-8")
+        assert main(["convert", "--from", source, "--to", target, str(path)]) == 0
+        graphs = convert(text)
+        assert len(graphs) == 3
+        expected = serialize(functools.reduce(merge, graphs))
+        assert capsys.readouterr().out == expected.removesuffix("\n") + "\n"
 
     def test_no_combine_writes_numbered_files(self, tmp_path, ttl_file):
         two_tops = TTL + 'wd:Q9 a sem:Event ; rdfs:label "Other" .\n'

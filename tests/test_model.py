@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -28,9 +29,13 @@ from semgraph.model import (
     RoleSpec,
     SemanticGraph,
     merge,
+    structure_key,
+    union,
     validate,
 )
-from graphgen import random_graph
+from semgraph.dot import to_dot
+from semgraph.xmlio import from_xml, to_xml
+from graphgen import corpus, random_graph
 from helpers import fig1_catalogue, fig1_graph, shape
 
 
@@ -405,6 +410,100 @@ class TestMerge:
         before = (dict(g1.nodes), list(g1.edges))
         merge(g1, g2, [])
         assert (g1.nodes, g1.edges) == before
+
+
+class TestUnion:
+    @pytest.mark.parametrize("count", [1, 2, 40])
+    def test_same_bytes_as_folding_merge(self, count):
+        graphs = corpus(20261018 + count, count)
+        folded = functools.reduce(merge, graphs)
+        combined = union(graphs)
+        assert to_xml(combined) == to_xml(folded)
+        assert [str(e) for e in combined.edges] == [str(e) for e in folded.edges]
+        assert list(combined.nodes) == [f"n{i}" for i in range(1, len(combined.nodes) + 1)]
+
+    def test_inputs_not_mutated(self):
+        graphs = corpus(5, 3)
+        before = [structure_key(g) for g in graphs]
+        union(graphs)
+        assert [structure_key(g) for g in graphs] == before
+
+    def test_empty_list_gives_empty_graph(self):
+        combined = union([])
+        assert not combined.nodes and not combined.edges
+
+
+def _filled_slots_graph() -> SemanticGraph:
+    g = SemanticGraph()
+    a = g.add_concept("A")
+    b = g.add_concept("B")
+    g.add_edge(a, "r", b)
+    g.add_edge(a, RoleLabel("s", 1), b)
+    g.add_edge(a, RoleLabel("s", 2), b)
+    return g
+
+
+class TestAdjacencyCoherence:
+    """The per-source adjacency agrees with ``edges`` however edges got there."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: merge(SemanticGraph(), _filled_slots_graph()),
+        lambda: union([SemanticGraph(), _filled_slots_graph()]),
+        lambda: from_xml(to_xml(_filled_slots_graph())),
+    ], ids=["merge", "union", "from_xml"])
+    @pytest.mark.parametrize("label,code", [
+        (RoleLabel("r"), DUPLICATE_ROLE_SLOT),
+        (RoleLabel("s", 2), DUPLICATE_ROLE_SLOT),
+        (RoleLabel("s", 4), BAD_INDEX_SET),
+    ])
+    def test_add_edge_sees_copied_slots(self, build, label, code):
+        g = build()
+        with pytest.raises(GraphError) as exc:
+            g.add_edge("n1", label, "n2")
+        assert exc.value.code == code
+
+    def test_add_edge_continues_copied_index_set(self):
+        g = from_xml(to_xml(_filled_slots_graph()))
+        g.add_edge("n1", RoleLabel("s", 3), "n1")
+        assert [str(e.label) for e in g.out_edges("n1")] == ["r", "s[1]", "s[2]", "s[3]"]
+
+    def test_directly_appended_edge_is_seen(self):
+        g = _filled_slots_graph()
+        g.out_edges("n1")  # index the edges built so far
+        g.edges.append(Edge("n2", RoleLabel("t"), "n1"))
+        assert [str(e) for e in g.out_edges("n2")] == ["n2 -t-> n1"]
+        assert '<concept id="n2" name="B"><role name="t" target="n1"/></concept>' in to_xml(g)
+        assert '"n2" -> "n1" [label="t"];' in to_dot(g)
+        with pytest.raises(GraphError) as exc:
+            g.add_edge("n2", "t", "n2")
+        assert exc.value.code == DUPLICATE_ROLE_SLOT
+
+    def test_out_edges_is_a_copy(self):
+        g = _filled_slots_graph()
+        g.out_edges("n1").clear()
+        assert len(g.out_edges("n1")) == 3
+
+
+class TestStructureKey:
+    def test_ids_payloads_and_edge_multiset(self):
+        g = fig1_graph()
+        reordered = SemanticGraph()
+        reordered.nodes.update(g.nodes)
+        reordered.edges.extend(reversed(g.edges))
+        assert structure_key(reordered) == structure_key(g)
+        assert g.structurally_equal(reordered)
+        renamed = fig1_graph()
+        renamed.nodes["n1"] = ConceptNode("n1", "Top")
+        assert structure_key(renamed) != structure_key(g)
+        twice = fig1_graph()
+        twice.edges.append(twice.edges[0])
+        assert structure_key(twice) != structure_key(g)
+
+    def test_node_kinds_distinguished(self):
+        concept, entity = SemanticGraph(), SemanticGraph()
+        concept.add_concept("4")
+        entity.add_entity("4")
+        assert structure_key(concept) != structure_key(entity)
 
 
 class TestCatalogue:

@@ -12,6 +12,7 @@ from semgraph.model import (
     ConceptDefinition,
     Edge,
     SemanticGraph,
+    structure_key,
     validate,
 )
 from semgraph.xmlio import (
@@ -23,7 +24,7 @@ from semgraph.xmlio import (
     from_xml,
     to_xml,
 )
-from graphgen import corpus, structure_key
+from graphgen import corpus
 from helpers import fig1_graph
 
 
@@ -119,6 +120,33 @@ class TestFromXml:
         with pytest.raises(XmlSchemaError) as exc:
             read(document)
         assert str(exc.value) == "DOCTYPE declarations are not allowed (line 3, column 1)"
+
+    @pytest.mark.parametrize("read,root", [(from_xml, "semanticgraph"),
+                                           (catalogue_from_xml, "catalogue")])
+    def test_doctype_stops_the_parse(self, read, root, monkeypatch):
+        # Rejection must not read the rest of the input: count what reaches
+        # the parser before the error, for a DOCTYPE ahead of 4 MB of markup.
+        fed = []
+        real_parser = ET.XMLParser
+
+        class CountingParser:
+            def __init__(self, **kwargs):
+                self.parser = real_parser(**kwargs)
+
+            def feed(self, data):
+                fed.append(len(data))
+                self.parser.feed(data)
+
+            def close(self):
+                return self.parser.close()
+
+        document = (f'<!DOCTYPE {root}>\n<{root} version="1">'
+                    + '<concept name="x"/>' * 200_000 + f"</{root}>")
+        monkeypatch.setattr(ET, "XMLParser", CountingParser)
+        with pytest.raises(XmlSchemaError) as exc:
+            read(document)
+        assert str(exc.value) == "DOCTYPE declarations are not allowed (line 1, column 1)"
+        assert sum(fed) <= 1 << 16 < len(document)
 
     def test_index_too_long_for_int_rejected(self):
         document = ('<semanticgraph version="1"><concept id="a" name="X">'
