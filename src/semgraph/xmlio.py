@@ -3,12 +3,14 @@
 Writing is byte-deterministic: nodes are sorted by id (byte order), a
 concept's role elements keep edge insertion order, and attribute layout is
 fixed. Reading accepts any well-formed layout of the same element grammar.
+It is one pass of expat: the nodes, role edges and catalogue entries are
+built in its start-tag handler, and no element tree is kept.
 """
 
 from __future__ import annotations
 
 import re
-import xml.etree.ElementTree as ET
+from typing import Callable
 from xml.parsers import expat
 
 from .model import (
@@ -29,7 +31,9 @@ from .model import (
 )
 
 _INDEX_RE = re.compile(r"[1-9][0-9]*\Z")
-_FEED_CHARS = 1 << 16
+# What may precede a DOCTYPE: the XML declaration, comments, PIs, white space.
+_PROLOG_RE = re.compile(r"(?:<\?.*?\?>|<!--.*?-->|\s)*", re.DOTALL)
+_DOCTYPE = "DOCTYPE declarations are not allowed"
 
 
 class XmlError(SourceError):
@@ -41,7 +45,7 @@ class XmlSyntaxError(XmlError):
 
 
 class XmlSchemaError(XmlError):
-    """Well-formed markup that does not follow the element grammar."""
+    """Well-formed markup that breaks the element grammar; located at the markup at fault."""
 
 
 def _escape(value: str) -> str:
@@ -89,95 +93,118 @@ def to_xml(graph: SemanticGraph) -> str:
     return "".join(parts)
 
 
-class _NoDoctype(ET.TreeBuilder):
-    """Builds the element tree of ``text`` but refuses a DOCTYPE: its internal
-    subset can declare entities that expand to any text, and the exchange
-    format has no use for one."""
-
-    def __init__(self, text: str):
-        super().__init__()
-        self.text = text
-
-    def doctype(self, name, pubid, system):
-        # Only the XML declaration, comments, PIs and white space precede it.
-        at = re.match(r"(?:<\?.*?\?>|<!--.*?-->|\s)*", self.text, re.DOTALL).end()
-        raise XmlSchemaError("DOCTYPE declarations are not allowed", *line_col(self.text, at))
+def _element(name: str, required: str, optional: str = "", children: str = "",
+             inside: str = "") -> tuple[str, tuple]:
+    # -> name, (required attributes, allowed attributes, allowed children, how
+    # the "unexpected element ... inside" message names the element)
+    return name, (frozenset(required.split()), frozenset(f"{required} {optional}".split()),
+                  frozenset(children.split()), inside or f"'{name}'")
 
 
-def _parse_root(text: str, expected_tag: str) -> ET.Element:
-    # Fed in chunks: an error raised by the target (a DOCTYPE) ends the feed
-    # call it happens in, but expat would otherwise read on to the end.
-    parser = ET.XMLParser(target=_NoDoctype(text))
+# ``role`` is also allowed under ``entity`` and ``omitted``, so that graphs
+# that break the structural rules can be read and then diagnosed.
+_GRAPH = dict([
+    _element("semanticgraph", "version", children="concept entity omitted"),
+    _element("concept", "id name", children="role"),
+    _element("entity", "id value", children="class role"),
+    _element("omitted", "id", children="role"),
+    _element("role", "name target", "index"),
+    _element("class", "name"),
+])
+_CATALOGUE = dict([
+    _element("catalogue", "version", children="concept"),
+    _element("concept", "name", children="role", inside="catalogue concept"),
+    _element("role", "name", "indexed"),
+])
+
+
+def _tag(name: str) -> str:
+    """A namespaced name spelt ``{uri}local``, as ElementTree does; expat gives ``uri}local``."""
+    return "{" + name if "}" in name else name
+
+
+def _parse(parser, text: str) -> None:
     try:
-        for start in range(0, len(text), _FEED_CHARS):
-            parser.feed(text[start:start + _FEED_CHARS])
-        root = parser.close()
-    except ET.ParseError as exc:
-        line, column = exc.position
+        parser.Parse(text, True)
+    except expat.ExpatError as exc:
         raise XmlSyntaxError(f"malformed XML: {expat.ErrorString(exc.code)}",
-                             line, column + 1) from exc
-    if root.tag != expected_tag:
-        raise XmlSchemaError(
-            f"unexpected root element '{root.tag}', expected '{expected_tag}'")
-    return root
+                             exc.lineno, exc.offset + 1) from None
 
 
-def _check_attrs(element: ET.Element, required: set[str], optional: set[str] = frozenset()):
-    present = set(element.attrib)
-    unknown = present - required - optional
-    if unknown:
-        raise XmlSchemaError(
-            f"unknown attribute '{sorted(unknown)[0]}' on element '{element.tag}'")
-    missing = required - present
-    if missing:
-        raise XmlSchemaError(
-            f"missing attribute '{sorted(missing)[0]}' on element '{element.tag}'")
+def _read(text: str, grammar: dict[str, tuple], root: str,
+          start: Callable[[str, dict, tuple[int, int]], None]) -> None:
+    """Parse ``text`` in one expat pass, checking the element grammar and the
+    root's version, and call ``start(name, attributes, (line, column))`` at
+    each start tag below the root.
 
+    A DOCTYPE stops the parse where it starts. Any other schema fault is
+    reported only if the whole text is well-formed, so malformed markup
+    always raises ``XmlSyntaxError``.
+    """
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.buffer_text = True
+    open_elements: list[tuple] = []  # name, allowed children and start tag of each
 
-def _check_no_text(element: ET.Element):
-    if element.text and element.text.strip():
-        raise XmlSchemaError(f"unexpected text content in element '{element.tag}'")
-    for child in element:
-        if child.tail and child.tail.strip():
-            raise XmlSchemaError(f"unexpected text content in element '{element.tag}'")
-
-
-def _check_version(element: ET.Element):
-    _check_attrs(element, {"version"})
-    version = element.get("version")
-    if version != "1":
-        raise XmlSchemaError(f"unsupported {element.tag} version '{version}'")
-
-
-def _node_id(element: ET.Element, seen: set[str]) -> str:
-    node_id = element.get("id", "")
-    if not _ID_RE.match(node_id):
-        raise XmlSchemaError(f"invalid node id {node_id!r} on element '{element.tag}'")
-    if node_id in seen:
-        raise XmlSchemaError(f"duplicate node id '{node_id}'")
-    seen.add(node_id)
-    return node_id
-
-
-def _read_role(element: ET.Element, source: str) -> tuple[str, RoleLabel, str]:
-    _check_attrs(element, {"name", "target"}, {"index"})
-    _check_no_text(element)
-    if len(element):
-        raise XmlSchemaError("element 'role' may not have children")
-    name = element.get("name", "")
-    if not name:
-        raise XmlSchemaError(f"empty role name on a role of '{source}'")
-    index_text = element.get("index")
-    index = None
-    if index_text is not None:
-        if not _INDEX_RE.match(index_text):
+    def on_start(name, attributes):
+        where = (parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
+        if open_elements:
+            parent, children, _ = open_elements[-1]
+            if name not in children:
+                raise XmlSchemaError(
+                    f"unexpected element '{_tag(name)}' inside {grammar[parent][3]}"
+                    if children else f"element '{parent}' may not have children", *where)
+        elif name != root:
             raise XmlSchemaError(
-                f"role index must be a positive integer, got {index_text!r}")
-        try:
-            index = int(index_text)
-        except ValueError:  # more digits than int() converts
-            raise XmlSchemaError(f"role index has too many digits ({len(index_text)})") from None
-    return source, RoleLabel(name, index), element.get("target", "")
+                f"unexpected root element '{_tag(name)}', expected '{root}'", *where)
+        required, allowed, children, _ = grammar[name]
+        present = attributes.keys()
+        if not (present >= required and present <= allowed):
+            unknown = min(map(_tag, present - allowed), default=None)
+            raise XmlSchemaError(
+                f"unknown attribute '{unknown}' on element '{name}'" if unknown else
+                f"missing attribute '{min(required - present)}' on element '{name}'", *where)
+        open_elements.append((name, children, where))
+        if len(open_elements) > 1:
+            start(name, attributes, where)
+        elif attributes["version"] != "1":
+            raise XmlSchemaError(
+                f"unsupported {root} version '{attributes['version']}'", *where)
+
+    def on_text(data):
+        if data.strip():
+            name, _, where = open_elements[-1]
+            raise XmlSchemaError(f"unexpected text content in element '{name}'", *where)
+
+    def on_doctype(*_):
+        # Its internal subset could declare entities that expand to any text.
+        raise XmlSchemaError(_DOCTYPE, *line_col(text, _PROLOG_RE.match(text).end()))
+
+    parser.StartElementHandler = on_start
+    parser.EndElementHandler = lambda name: open_elements.pop()
+    parser.CharacterDataHandler = on_text
+    parser.StartDoctypeDeclHandler = on_doctype
+    try:
+        _parse(parser, text)
+    except XmlSchemaError as exc:
+        if exc.reason != _DOCTYPE:
+            _parse(expat.ParserCreate(namespace_separator="}"), text)
+        raise
+
+
+def _role_label(name: str, index_text: str | None, source: str,
+                where: tuple[int, int]) -> RoleLabel:
+    if not name:
+        raise XmlSchemaError(f"empty role name on a role of '{source}'", *where)
+    if index_text is None:
+        return RoleLabel(name)
+    if not _INDEX_RE.match(index_text):
+        raise XmlSchemaError(
+            f"role index must be a positive integer, got {index_text!r}", *where)
+    try:
+        return RoleLabel(name, int(index_text))
+    except ValueError:  # more digits than int() converts
+        raise XmlSchemaError(
+            f"role index has too many digits ({len(index_text)})", *where) from None
 
 
 def from_xml(text: str) -> SemanticGraph:
@@ -189,67 +216,47 @@ def from_xml(text: str) -> SemanticGraph:
     diagnosed by validation (they can never be produced by ``to_xml``).
     Role targets must resolve to an id in the document.
     """
-    root = _parse_root(text, "semanticgraph")
-    _check_version(root)
-    _check_no_text(root)
     graph = SemanticGraph()
-    pending_roles: list[tuple[str, RoleLabel, str]] = []
-    seen: set[str] = set()
-    for element in root:
-        if element.tag == "concept":
-            _check_attrs(element, {"id", "name"})
-            _check_no_text(element)
-            node_id = _node_id(element, seen)
-            name = element.get("name", "")
-            if not name:
-                raise XmlSchemaError(f"empty concept name on node '{node_id}'")
-            graph.nodes[node_id] = ConceptNode(node_id, name)
-            for child in element:
-                if child.tag != "role":
-                    raise XmlSchemaError(
-                        f"unexpected element '{child.tag}' inside 'concept'")
-                pending_roles.append(_read_role(child, node_id))
-        elif element.tag == "entity":
-            _check_attrs(element, {"id", "value"})
-            _check_no_text(element)
-            node_id = _node_id(element, seen)
-            value = element.get("value", "")
-            if not value:
-                raise XmlSchemaError(f"empty entity value on node '{node_id}'")
-            classes: list[str] = []
-            for child in element:
-                if child.tag == "class":
-                    _check_attrs(child, {"name"})
-                    _check_no_text(child)
-                    if len(child):
-                        raise XmlSchemaError("element 'class' may not have children")
-                    cls = child.get("name", "")
-                    if not cls:
-                        raise XmlSchemaError(f"empty class name on entity '{node_id}'")
-                    classes.append(cls)
-                elif child.tag == "role":
-                    pending_roles.append(_read_role(child, node_id))
-                else:
-                    raise XmlSchemaError(
-                        f"unexpected element '{child.tag}' inside 'entity'")
-            graph.nodes[node_id] = EntityNode(node_id, value, classes)
-        elif element.tag == "omitted":
-            _check_attrs(element, {"id"})
-            _check_no_text(element)
-            node_id = _node_id(element, seen)
-            graph.nodes[node_id] = OmittedNode(node_id)
-            for child in element:
-                if child.tag != "role":
-                    raise XmlSchemaError(
-                        f"unexpected element '{child.tag}' inside 'omitted'")
-                pending_roles.append(_read_role(child, node_id))
+    nodes, edges = graph.nodes, graph.edges
+    role_starts: list[tuple[int, int]] = []  # of each edge in edges
+    labels: dict[tuple[str, str | None], RoleLabel] = {}  # one per (name, index text)
+    source = ""  # id of the node element the parser is in
+
+    def start(name, attributes, where):
+        nonlocal source
+        if name == "role":
+            key = (attributes["name"], attributes.get("index"))
+            label = labels.get(key)
+            if label is None:
+                label = labels[key] = _role_label(*key, source, where)
+            edges.append(Edge(source, label, attributes["target"]))
+            role_starts.append(where)
+        elif name == "class":
+            if not attributes["name"]:
+                raise XmlSchemaError(f"empty class name on entity '{source}'", *where)
+            nodes[source].classes.append(attributes["name"])
         else:
-            raise XmlSchemaError(
-                f"unexpected element '{element.tag}' inside 'semanticgraph'")
-    for source, label, target in pending_roles:
-        if target not in graph.nodes:
-            raise XmlSchemaError(f"role target references unknown id '{target}'")
-        graph.edges.append(Edge(source, label, target))
+            node_id = attributes["id"]
+            if not _ID_RE.match(node_id):
+                raise XmlSchemaError(f"invalid node id {node_id!r} on element '{name}'", *where)
+            if node_id in nodes:
+                raise XmlSchemaError(f"duplicate node id '{node_id}'", *where)
+            if name == "concept":
+                if not attributes["name"]:
+                    raise XmlSchemaError(f"empty concept name on node '{node_id}'", *where)
+                nodes[node_id] = ConceptNode(node_id, attributes["name"])
+            elif name == "entity":
+                if not attributes["value"]:
+                    raise XmlSchemaError(f"empty entity value on node '{node_id}'", *where)
+                nodes[node_id] = EntityNode(node_id, attributes["value"])
+            else:
+                nodes[node_id] = OmittedNode(node_id)
+            source = node_id
+
+    _read(text, _GRAPH, "semanticgraph", start)
+    for edge, where in zip(edges, role_starts):
+        if edge.target not in nodes:
+            raise XmlSchemaError(f"role target references unknown id '{edge.target}'", *where)
     return graph
 
 
@@ -279,42 +286,33 @@ def catalogue_to_xml(catalogue: ConceptCatalogue) -> str:
 
 def catalogue_from_xml(text: str) -> ConceptCatalogue:
     """Parse a concept catalogue document."""
-    root = _parse_root(text, "catalogue")
-    _check_version(root)
-    _check_no_text(root)
     catalogue = ConceptCatalogue()
-    for element in root:
-        if element.tag != "concept":
+    definition = None  # of the concept element the parser is in
+    role_names: set[str] = set()  # of that concept
+
+    def start(name, attributes, where):
+        nonlocal definition
+        if name == "concept":
+            concept = attributes["name"]
+            if not concept:
+                raise XmlSchemaError("empty concept name in catalogue", *where)
+            if concept in catalogue:
+                raise XmlSchemaError(f"duplicate concept '{concept}' in catalogue", *where)
+            definition = ConceptDefinition(concept)
+            catalogue.define(definition)
+            role_names.clear()
+            return
+        role = attributes["name"]
+        if not role:
+            raise XmlSchemaError(f"empty role name in concept '{definition.name}'", *where)
+        if role in role_names:
             raise XmlSchemaError(
-                f"unexpected element '{element.tag}' inside 'catalogue'")
-        _check_attrs(element, {"name"})
-        _check_no_text(element)
-        name = element.get("name", "")
-        if not name:
-            raise XmlSchemaError("empty concept name in catalogue")
-        if name in catalogue:
-            raise XmlSchemaError(f"duplicate concept '{name}' in catalogue")
-        roles: list[RoleSpec] = []
-        role_names: set[str] = set()
-        for child in element:
-            if child.tag != "role":
-                raise XmlSchemaError(
-                    f"unexpected element '{child.tag}' inside catalogue concept")
-            _check_attrs(child, {"name"}, {"indexed"})
-            _check_no_text(child)
-            if len(child):
-                raise XmlSchemaError("element 'role' may not have children")
-            role_name = child.get("name", "")
-            if not role_name:
-                raise XmlSchemaError(f"empty role name in concept '{name}'")
-            if role_name in role_names:
-                raise XmlSchemaError(
-                    f"role '{role_name}' declared twice in concept '{name}'")
-            role_names.add(role_name)
-            indexed_text = child.get("indexed", "false")
-            if indexed_text not in ("true", "false"):
-                raise XmlSchemaError(
-                    f"indexed must be 'true' or 'false', got {indexed_text!r}")
-            roles.append(RoleSpec(role_name, indexed_text == "true"))
-        catalogue.define(ConceptDefinition(name, roles))
+                f"role '{role}' declared twice in concept '{definition.name}'", *where)
+        role_names.add(role)
+        indexed = attributes.get("indexed", "false")
+        if indexed not in ("true", "false"):
+            raise XmlSchemaError(f"indexed must be 'true' or 'false', got {indexed!r}", *where)
+        definition.roles.append(RoleSpec(role, indexed == "true"))
+
+    _read(text, _CATALOGUE, "catalogue", start)
     return catalogue

@@ -230,7 +230,10 @@ class TestExitCodeMatrix:
          "# a\x85b\n1\ta\ta\tX\t_\t_\t0\td\tB-Cause\n2\tb\tb\tX\t_\t_\t0\td\tB-Nope\n",
          "(line 3)"),
         (["validate"], '<semanticgraph version="1">\n<concept id="a"', "(line 2, column 1)"),
-    ], ids=["amr", "umr", "ttl", "conll", "ucca", "ucca-vt", "conll-nel", "validate"])
+        (["validate"], '<semanticgraph version="1">\n  <concept id="a" name="X">\n'
+         '    <role name="r" target="b"/></concept></semanticgraph>\n', "(line 3, column 5)"),
+    ], ids=["amr", "umr", "ttl", "conll", "ucca", "ucca-vt", "conll-nel", "validate",
+            "validate-schema"])
     def test_malformed_input_reports_location(self, tmp_path, capsys, command, text, location):
         source = tmp_path / "bad.txt"
         source.write_text(text, encoding="utf-8")
@@ -249,7 +252,7 @@ class TestExitCodeMatrix:
         (["validate"],
          '<semanticgraph version="1"><concept id="a" name="X">'
          f'<role name="r" index="1{"0" * 5000}" target="a"/></concept></semanticgraph>',
-         "role index has too many digits (5001)"),
+         "role index has too many digits (5001) (line 1, column 53)"),
         (["render"],
          '<!DOCTYPE s [<!ENTITY a "Room">]>\n<semanticgraph version="1">'
          '<concept id="a" name="&a;"/></semanticgraph>',

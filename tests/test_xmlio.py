@@ -1,7 +1,10 @@
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+import xml_oracle
 from semgraph.model import (
     ENTITY_OUT_EDGE,
     OMITTED_OUT_EDGE,
@@ -26,6 +29,7 @@ from semgraph.xmlio import (
 )
 from graphgen import corpus
 from helpers import fig1_graph
+from test_fuzz import SEEDS, mutated
 
 
 class TestToXml:
@@ -123,30 +127,15 @@ class TestFromXml:
 
     @pytest.mark.parametrize("read,root", [(from_xml, "semanticgraph"),
                                            (catalogue_from_xml, "catalogue")])
-    def test_doctype_stops_the_parse(self, read, root, monkeypatch):
-        # Rejection must not read the rest of the input: count what reaches
-        # the parser before the error, for a DOCTYPE ahead of 4 MB of markup.
-        fed = []
-        real_parser = ET.XMLParser
-
-        class CountingParser:
-            def __init__(self, **kwargs):
-                self.parser = real_parser(**kwargs)
-
-            def feed(self, data):
-                fed.append(len(data))
-                self.parser.feed(data)
-
-            def close(self):
-                return self.parser.close()
-
+    def test_doctype_stops_the_parse(self, read, root):
+        # Malformed markup is reported ahead of any other fault, so the DOCTYPE
+        # error can only win over the syntax error at the end of 4 MB of
+        # markup if the parse stopped at the DOCTYPE.
         document = (f'<!DOCTYPE {root}>\n<{root} version="1">'
-                    + '<concept name="x"/>' * 200_000 + f"</{root}>")
-        monkeypatch.setattr(ET, "XMLParser", CountingParser)
+                    + '<concept name="x"/>' * 200_000 + f"</{root}")
         with pytest.raises(XmlSchemaError) as exc:
             read(document)
         assert str(exc.value) == "DOCTYPE declarations are not allowed (line 1, column 1)"
-        assert sum(fed) <= 1 << 16 < len(document)
 
     def test_index_too_long_for_int_rejected(self):
         document = ('<semanticgraph version="1"><concept id="a" name="X">'
@@ -154,7 +143,7 @@ class TestFromXml:
                     '</concept></semanticgraph>')
         with pytest.raises(XmlSchemaError) as exc:
             from_xml(document)
-        assert str(exc.value) == "role index has too many digits (5001)"
+        assert str(exc.value) == "role index has too many digits (5001) (line 1, column 53)"
 
     def test_dangling_target_names_the_id(self):
         document = ('<semanticgraph version="1"><concept id="a" name="X">'
@@ -326,3 +315,249 @@ class TestCatalogueXml:
         restored = catalogue_from_xml(catalogue_to_xml(catalogue))
         assert restored.get("A").description is None
         assert [r.name for r in restored.get("A").roles] == ["r"]
+
+
+def _graph(body: str, root_attrs: str = ' version="1"') -> str:
+    return f"<semanticgraph{root_attrs}>{body}</semanticgraph>"
+
+
+def _catalogue(body: str, root_attrs: str = ' version="1"') -> str:
+    return f"<catalogue{root_attrs}>{body}</catalogue>"
+
+
+def _schema_reason(read, document) -> str:
+    with pytest.raises(XmlSchemaError) as exc:
+        read(document)
+    return exc.value.reason
+
+
+class TestPinnedReading:
+    """What the reader accepts and the exact reason it gives when it rejects."""
+
+    @pytest.mark.parametrize("read,wrap,root", [(from_xml, _graph, "semanticgraph"),
+                                                (catalogue_from_xml, _catalogue, "catalogue")])
+    def test_namespaced_root_keeps_its_expanded_name(self, read, wrap, root):
+        assert _schema_reason(read, wrap("", ' xmlns="u" version="1"')) == (
+            f"unexpected root element '{{u}}{root}', expected '{root}'")
+
+    @pytest.mark.parametrize("read,wrap,root", [(from_xml, _graph, "semanticgraph"),
+                                                (catalogue_from_xml, _catalogue, "catalogue")])
+    def test_namespaced_attribute_keeps_its_expanded_name(self, read, wrap, root):
+        document = wrap("", ' version="1" xmlns:a="u" a:x="1"')
+        assert _schema_reason(read, document) == f"unknown attribute '{{u}}x' on element '{root}'"
+        # Sorted as ElementTree names them: 'zz' < '{u}x'.
+        document = wrap("", ' version="1" xmlns:a="u" a:x="1" zz="1"')
+        assert _schema_reason(read, document) == f"unknown attribute 'zz' on element '{root}'"
+
+    def test_namespaced_child_keeps_its_expanded_name(self):
+        document = _graph('<a:concept xmlns:a="u" id="a" name="X"/>')
+        assert _schema_reason(from_xml, document) == (
+            "unexpected element '{u}concept' inside 'semanticgraph'")
+
+    # (reader, document with "{}" where the attributes go, element, first required attribute)
+    ATTRIBUTE_CASES = [
+        (from_xml, "<semanticgraph{}/>", "semanticgraph", "version"),
+        (from_xml, _graph("<concept{}/>"), "concept", "id"),
+        (from_xml, _graph("<entity{}/>"), "entity", "id"),
+        (from_xml, _graph("<omitted{}/>"), "omitted", "id"),
+        (from_xml, _graph('<concept id="a" name="X"><role{}/></concept>'), "role", "name"),
+        (from_xml, _graph('<entity id="a" value="v"><class{}/></entity>'), "class", "name"),
+        (catalogue_from_xml, "<catalogue{}/>", "catalogue", "version"),
+        (catalogue_from_xml, _catalogue("<concept{}/>"), "concept", "name"),
+        (catalogue_from_xml, _catalogue('<concept name="A"><role{}/></concept>'), "role", "name"),
+    ]
+
+    @pytest.mark.parametrize("read,template,element,required", ATTRIBUTE_CASES,
+                             ids=lambda value: value if isinstance(value, str) else "")
+    def test_attribute_errors_report_first_unknown_then_first_missing(self, read, template,
+                                                                      element, required):
+        both = template.format(' zz="1" yy="1"')
+        assert _schema_reason(read, both) == f"unknown attribute 'yy' on element '{element}'"
+        assert _schema_reason(read, template.format("")) == (
+            f"missing attribute '{required}' on element '{element}'")
+
+    # (reader, document with "{}" where text goes, element holding the text)
+    TEXT_CASES = [
+        (from_xml, _graph("{}"), "semanticgraph"),
+        (from_xml, _graph('<omitted id="o"/>{}'), "semanticgraph"),
+        (from_xml, _graph('<concept id="a" name="X">{}</concept>'), "concept"),
+        (from_xml, _graph('<concept id="a" name="X"><role name="r" target="a"/>{}</concept>'),
+         "concept"),
+        (from_xml, _graph('<entity id="a" value="v">{}</entity>'), "entity"),
+        (from_xml, _graph('<omitted id="a">{}</omitted>'), "omitted"),
+        (from_xml, _graph('<concept id="a" name="X"><role name="r" target="a">{}</role>'
+                          '</concept>'), "role"),
+        (from_xml, _graph('<entity id="a" value="v"><class name="k">{}</class></entity>'),
+         "class"),
+        (catalogue_from_xml, _catalogue("{}"), "catalogue"),
+        (catalogue_from_xml, _catalogue('<concept name="A">{}</concept>'), "concept"),
+        (catalogue_from_xml, _catalogue('<concept name="A"><role name="r">{}</role></concept>'),
+         "role"),
+    ]
+
+    @pytest.mark.parametrize("text", ["junk", "<![CDATA[x]]>", " &#65; "])
+    @pytest.mark.parametrize("read,template,element", TEXT_CASES,
+                             ids=lambda value: value if isinstance(value, str) else "")
+    def test_text_content_is_rejected(self, read, template, element, text):
+        assert _schema_reason(read, template.format(text)) == (
+            f"unexpected text content in element '{element}'")
+
+    @pytest.mark.parametrize("text", ["&#160;", "\n\t \r\n", "<!-- note -->", "<?pi data?>",
+                                      "<![CDATA[ \n ]]>", " <!-- a --> <?b?> "])
+    @pytest.mark.parametrize("read,template,element", TEXT_CASES,
+                             ids=lambda value: value if isinstance(value, str) else "")
+    def test_white_space_comments_and_pis_are_accepted(self, read, template, element, text):
+        read(template.format(text))
+
+    def test_duplicate_id_rejected(self):
+        document = _graph('<concept id="a" name="X"/><entity id="a" value="v"/>')
+        assert _schema_reason(from_xml, document) == "duplicate node id 'a'"
+
+    def test_role_target_defined_later_resolves(self):
+        g = from_xml(_graph('<concept id="a" name="X"><role name="r" target="z"/></concept>'
+                            '<omitted id="z"/>'))
+        assert g.edges == [Edge("a", RoleLabel("r"), "z")]
+
+    @pytest.mark.parametrize("read,wrap", [(from_xml, _graph), (catalogue_from_xml, _catalogue)])
+    def test_junk_after_document_element_is_a_syntax_error(self, read, wrap):
+        with pytest.raises(XmlSyntaxError) as exc:
+            read(wrap("") + "\n<x/>")
+        assert exc.value.reason == "malformed XML: junk after document element"
+        assert (exc.value.line, exc.value.column) == (2, 1)
+
+    def test_encoding_declaration_is_ignored_for_text_input(self):
+        g = from_xml('<?xml version="1.0" encoding="ISO-8859-1"?>'
+                     + _graph('<concept id="a" name="Café"/>'))
+        assert g.nodes["a"].name == "Café"
+        catalogue = catalogue_from_xml('<?xml version="1.0" encoding="ISO-8859-1"?>'
+                                       + _catalogue('<concept name="Café"/>'))
+        assert "Café" in catalogue
+
+    @pytest.mark.parametrize("body,reason", [
+        ('<concept name="A"/><concept name="A"/>', "duplicate concept 'A' in catalogue"),
+        ('<concept name="A"><role name="r"/><role name="r"/></concept>',
+         "role 'r' declared twice in concept 'A'"),
+        ('<concept name="A"><class name="r"/></concept>',
+         "unexpected element 'class' inside catalogue concept"),
+        ('<concept name="A"><role name="r"><role name="s"/></role></concept>',
+         "element 'role' may not have children"),
+        ('<role name="r"/>', "unexpected element 'role' inside 'catalogue'"),
+        ('<concept name=""/>', "empty concept name in catalogue"),
+        ('<concept name="A"><role name=""/></concept>', "empty role name in concept 'A'"),
+        ('<concept name="A"><role name="r" indexed="1"/></concept>',
+         "indexed must be 'true' or 'false', got '1'"),
+    ])
+    def test_catalogue_reasons(self, body, reason):
+        assert _schema_reason(catalogue_from_xml, _catalogue(body)) == reason
+
+    def test_catalogue_version_checked(self):
+        assert _schema_reason(catalogue_from_xml, _catalogue("", ' version="2"')) == (
+            "unsupported catalogue version '2'")
+
+
+CATALOGUE_SEED = ('<catalogue version="1">\n'
+                  '  <concept name="Bottom">\n'
+                  '    <role name="Container"/>\n'
+                  '    <role name="part" indexed="true"/>\n'
+                  '  </concept>\n'
+                  '  <concept name="Well"/>\n'
+                  '</catalogue>\n')
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except Exception as exc:  # a lone surrogate fails to encode before any parse
+        return exc
+
+
+def _assert_same_graph(new, old):
+    assert list(new.nodes.items()) == list(old.nodes.items())
+    assert new.edges == old.edges
+    if not validate(old):
+        assert to_xml(new) == to_xml(old)
+
+
+class TestAgainstTreeReader:
+    """The streaming reader against the ElementTree reader it replaced."""
+
+    @pytest.mark.parametrize("seed", [SEEDS["xml"], _base_document()], ids=["fuzz", "base"])
+    def test_mutated_graphs_agree(self, seed):
+        @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+        @given(mutated(seed))
+        def check(text):
+            new, old = _outcome(from_xml, text), _outcome(xml_oracle.from_xml, text)
+            assert type(new) is type(old), (new, old)
+            if not isinstance(old, Exception):
+                _assert_same_graph(new, old)
+
+        check()
+
+    def test_mutated_catalogues_agree(self):
+        @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+        @given(mutated(CATALOGUE_SEED))
+        def check(text):
+            new = _outcome(catalogue_from_xml, text)
+            old = _outcome(xml_oracle.catalogue_from_xml, text)
+            assert type(new) is type(old), (new, old)
+            if not isinstance(old, Exception):
+                assert list(new.entries.items()) == list(old.entries.items())
+                assert catalogue_to_xml(new) == catalogue_to_xml(old)
+
+        check()
+
+    @pytest.mark.parametrize("description,document", list(_mutations()),
+                             ids=lambda value: value if isinstance(value, str) else "")
+    def test_single_faults_give_the_same_reason(self, description, document):
+        new, old = _outcome(from_xml, document), _outcome(xml_oracle.from_xml, document)
+        assert type(new) is type(old)
+        assert new.reason == old.reason
+        assert new.line is not None and new.column is not None
+
+
+class TestSchemaErrorLocations:
+    @pytest.mark.parametrize("body,location", [
+        ('\n  <concept id="a" name=""/>', (2, 3)),
+        ('\n<omitted id="a">\n  <class name="k"/></omitted>', (3, 3)),
+        ('<entity id="a" value="v">\n\n  x  \n</entity>', (1, 28)),
+        ('\n<concept id="a" name="X">\n<role name="r" target="a"/>\n'
+         ' <role name="r" target="zz"/>\n</concept>', (4, 2)),
+    ], ids=["attribute", "child", "text", "target"])
+    def test_start_tag_at_fault(self, body, location):
+        with pytest.raises(XmlSchemaError) as exc:
+            from_xml(_graph(body))
+        assert (exc.value.line, exc.value.column) == location
+        assert str(exc.value).endswith(f" (line {location[0]}, column {location[1]})")
+
+    @pytest.mark.parametrize("document", ['\n<graph version="1"/>',
+                                          '<semanticgraph version="2"/>'])
+    def test_root_at_fault(self, document):
+        with pytest.raises(XmlSchemaError) as exc:
+            from_xml(document)
+        assert (exc.value.line, exc.value.column) == (document.count("\n") + 1, 1)
+
+    def test_catalogue_start_tag_at_fault(self):
+        document = _catalogue('\n<concept name="A">\n  <role name="r"/><role name="r"/></concept>')
+        with pytest.raises(XmlSchemaError) as exc:
+            catalogue_from_xml(document)
+        assert (exc.value.line, exc.value.column) == (3, 19)
+
+    def test_first_fault_in_the_text_is_reported(self):
+        # The tree reader checked a parent's text before its children.
+        document = _graph('<conzept/>junk')
+        assert _schema_reason(from_xml, document) == (
+            "unexpected element 'conzept' inside 'semanticgraph'")
+        assert _schema_reason(xml_oracle.from_xml, document) == (
+            "unexpected text content in element 'semanticgraph'")
+
+    @pytest.mark.parametrize("read,wrap", [(from_xml, _graph), (catalogue_from_xml, _catalogue)])
+    def test_malformed_markup_wins_over_an_earlier_schema_fault(self, read, wrap):
+        with pytest.raises(XmlSyntaxError) as exc:
+            read(wrap("<unknown/>\n<unclosed>"))
+        assert exc.value.reason == "malformed XML: mismatched tag"
+
+
+def test_no_element_tree_in_the_package():
+    package = Path(__file__).parent.parent / "src" / "semgraph"
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if "xml.etree" in path.read_text(encoding="utf-8")] == []
