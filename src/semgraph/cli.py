@@ -55,7 +55,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:  # read() decodes all of the file in one call
+            data, bad = exc.object, exc.start
+    # The text before the bad byte, with the universal newlines read() gives.
+    valid = data[:bad].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    raise model.SourceError(f"{path}: byte 0x{data[bad]:02x} is not valid UTF-8",
+                            *model.line_col(valid, len(valid)))
 
 
 def _write(output: str | None, text: str) -> None:
@@ -162,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{violation.code}\t{violation.subject}\t{violation.message}",
                   file=sys.stderr)
         return 1
-    except (model.GraphError, model.SourceError, OSError, UnicodeDecodeError) as exc:
+    except (model.GraphError, model.SourceError, OSError) as exc:
         print(f"semgraph: error: {exc}", file=sys.stderr)
         return 2
 

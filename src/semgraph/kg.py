@@ -43,16 +43,33 @@ class _Token:
 
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-_WORD_RE = re.compile(r'[^\s;,<>"#^\[\](){}]+')
-_AT_RE = re.compile(r"@[A-Za-z][A-Za-z0-9-]*")
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
-_UNSUPPORTED = {
-    "[": "blank nodes",
-    "]": "blank nodes",
-    "(": "collections",
-    ")": "collections",
-    "{": "graph blocks",
-    "}": "graph blocks",
+# One match per token, white space first. Every non-blank character starts
+# some alternative, at worst the catch-all `error`, and `\Z` ends the text,
+# so a match never backtracks into the white space in front of it.
+_TOKEN_RE = re.compile(r'''[ \t\r\n]*(?:
+    (?P<word>[^\s;,<>"#^\[\](){}.@][^\s;,<>"#^\[\](){}]*)
+  | (?P<semi>;) | (?P<comma>,) | (?P<dot>\.) | (?P<dtype>\^\^)
+  | (?P<string>"(?!"")[^"\\]*(?:\\.[^"\\]*)*")
+  | (?P<iri><[^>]+>)
+  | (?P<at>@[A-Za-z][A-Za-z0-9-]*)
+  | \#[^\n]* | \Z
+  | (?P<error>"""|<>|[^ \t\r\n])
+)''', re.VERBOSE | re.DOTALL)
+
+_ERRORS = {
+    '"""': "unsupported construct: triple-quoted strings",
+    '"': "unterminated string literal",
+    "<>": "empty IRI",
+    "<": "unterminated IRI",
+    "@": "malformed '@' token",
+    "[": "unsupported construct: blank nodes",
+    "]": "unsupported construct: blank nodes",
+    "(": "unsupported construct: collections",
+    ")": "unsupported construct: collections",
+    "{": "unsupported construct: graph blocks",
+    "}": "unsupported construct: graph blocks",
 }
 
 
@@ -60,80 +77,30 @@ def _fail(text: str, offset: int, message: str):
     raise TurtleError(message, *line_col(text, offset))
 
 
+def _unescape(match: re.Match) -> str:
+    return _ESCAPES.get(match[1], match[1])
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-        elif c == "#":
-            end = text.find("\n", i)
-            i = n if end < 0 else end + 1
-        elif c == "<":
-            end = text.find(">", i)
-            if end < 0:
-                _fail(text, i, "unterminated IRI")
-            iri = text[i + 1:end]
-            if not iri:
-                _fail(text, i, "empty IRI")
-            tokens.append(_Token("iri", iri, i))
-            i = end + 1
-        elif c == '"':
-            if text.startswith('"""', i):
-                _fail(text, i, "unsupported construct: triple-quoted strings")
-            j = i + 1
-            parts = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\":
-                    if j + 1 >= n:
-                        _fail(text, i, "unterminated string literal")
-                    parts.append(_ESCAPES.get(text[j + 1], text[j + 1]))
-                    j += 2
-                else:
-                    parts.append(text[j])
-                    j += 1
-            if j >= n:
-                _fail(text, i, "unterminated string literal")
-            tokens.append(_Token("string", "".join(parts), i))
-            i = j + 1
-        elif c == "@":
-            match = _AT_RE.match(text, i)
-            if not match:
-                _fail(text, i, "malformed '@' token")
-            tokens.append(_Token("at", match.group(0), i))
-            i = match.end()
-        elif c == ";":
-            tokens.append(_Token("semi", ";", i))
-            i += 1
-        elif c == ",":
-            tokens.append(_Token("comma", ",", i))
-            i += 1
-        elif c == ".":
-            tokens.append(_Token("dot", ".", i))
-            i += 1
-        elif c == "^":
-            if text.startswith("^^", i):
-                tokens.append(_Token("dtype", "^^", i))
-                i += 2
-            else:
-                _fail(text, i, "unexpected character '^'")
-        elif c in _UNSUPPORTED:
-            _fail(text, i, f"unsupported construct: {_UNSUPPORTED[c]}")
-        else:
-            match = _WORD_RE.match(text, i)
-            if not match:
-                _fail(text, i, f"unexpected character {c!r}")
-            word = match.group(0)
-            end = match.end()
-            stripped = word.rstrip(".")
-            if len(word) - len(stripped) > 1:
-                _fail(text, i + len(stripped) + 1, "unexpected '.'")
-            if stripped:
-                tokens.append(_Token("word", stripped, i))
-            if stripped != word:
-                tokens.append(_Token("dot", ".", i + len(stripped)))
-            i = end
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind is None:  # a comment, or the end of the text
+            continue
+        value, offset = match[kind], match.start(kind)
+        if kind == "word" and value[-1] == ".":  # trailing dots end the statement
+            word = value.rstrip(".")
+            if len(value) - len(word) > 1:
+                _fail(text, offset + len(word) + 1, "unexpected '.'")
+            tokens.append(_Token("word", word, offset))
+            kind, value, offset = "dot", ".", offset + len(word)
+        elif kind == "string":
+            value = _ESCAPE_RE.sub(_unescape, value[1:-1])
+        elif kind == "iri":
+            value = value[1:-1]
+        elif kind == "error":
+            _fail(text, offset, _ERRORS.get(value) or f"unexpected character {value!r}")
+        tokens.append(_Token(kind, value, offset))
     return tokens
 
 
@@ -246,7 +213,8 @@ def parse_turtle(text: str) -> TripleStore:
     Supported: @prefix directives, prefixed names, <IRI> references, the `a`
     keyword (stored as rdf:type), string literals with optional @lang or
     ^^datatype, ';' predicate lists, ',' object lists and '#' comments.
-    Blank nodes and collections raise an "unsupported construct" error.
+    Blank nodes, blank-node labels, collections, graph blocks and
+    triple-quoted strings raise an "unsupported construct" error.
     Prefixed names are kept as written, not expanded.
     """
     return _TurtleParser(text).parse()
@@ -327,11 +295,6 @@ def _events(triples: list[tuple[Term, Term, Term]]) -> dict[str, list[str]]:
 def _top_level(children: dict[str, list[str]]) -> list[str]:
     nested = {child for subs in children.values() for child in subs}
     return [name for name in children if name not in nested]
-
-
-def top_level_events(store: TripleStore) -> list[str]:
-    """Typed events that are not declared sub-events of another typed event."""
-    return _top_level(_events(store.triples))
 
 
 def split_events(store: TripleStore) -> list[TripleStore]:

@@ -265,13 +265,6 @@ class SemanticGraph:
         """The edges leaving ``node_id``, in insertion order."""
         return list(self._adjacency().get(node_id, ()))
 
-    def in_edges(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.target == node_id]
-
-    def structurally_equal(self, other: SemanticGraph) -> bool:
-        """True if both graphs have the same ``structure_key``."""
-        return structure_key(self) == structure_key(other)
-
 
 def structure_key(graph: SemanticGraph):
     """Hashable key identifying a graph up to edge order: node ids with their

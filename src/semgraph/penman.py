@@ -46,12 +46,6 @@ class PenmanTree:
     concepts: dict[str, str]  # variable -> concept label, in definition order
     slots: list[Slot]
 
-    def variables(self) -> list[str]:
-        return list(self.concepts)
-
-    def constants(self) -> list[str]:
-        return [slot.value for slot in self.slots if slot.kind == CONST]
-
 
 @dataclass
 class DocRelation:

@@ -129,6 +129,9 @@ def _parse(parser, text: str) -> None:
     except expat.ExpatError as exc:
         raise XmlSyntaxError(f"malformed XML: {expat.ErrorString(exc.code)}",
                              exc.lineno, exc.offset + 1) from None
+    except UnicodeEncodeError as exc:  # expat reads UTF-8, which has no lone surrogates
+        raise XmlSyntaxError(f"malformed XML: lone surrogate {text[exc.start]!r}",
+                             *line_col(text, exc.start)) from None
 
 
 def _read(text: str, grammar: dict[str, tuple], root: str,

@@ -1,14 +1,19 @@
-"""Shared fixtures: the well/room/office example graph and id-independent
-graph signatures for comparing conversion output against hand-built graphs."""
+"""Shared fixtures: the well/room/office example graph, id-independent
+graph signatures for comparing conversion output against hand-built graphs,
+and the queries that only tests make of graphs, PENMAN trees and triple
+stores."""
 
+from semgraph import kg
 from semgraph.model import (
     ConceptCatalogue,
     ConceptDefinition,
     ConceptNode,
+    Edge,
     EntityNode,
     RoleSpec,
     SemanticGraph,
 )
+from semgraph.penman import CONST, PenmanTree
 
 
 def fig1_graph() -> SemanticGraph:
@@ -65,3 +70,19 @@ def shape(graph: SemanticGraph):
     edges = sorted((payload[e.source], e.label.name, e.label.index or 0,
                     payload[e.target]) for e in graph.edges)
     return nodes, edges
+
+
+def in_edges(graph: SemanticGraph, node_id: str) -> list[Edge]:
+    """The edges entering ``node_id``, in insertion order."""
+    return [e for e in graph.edges if e.target == node_id]
+
+
+def constants(tree: PenmanTree) -> list[str]:
+    """The constant tokens of ``tree``, in surface order."""
+    return [slot.value for slot in tree.slots if slot.kind == CONST]
+
+
+def top_level_events(store: kg.TripleStore) -> list[str]:
+    """The typed events that ``split_events`` roots its stores at: those that
+    are not declared sub-events of another typed event."""
+    return kg._top_level(kg._events(store.triples))

@@ -28,7 +28,7 @@ from semgraph.ucca import parse_ucca, ucca_to_graph
 from semgraph.xmlio import from_xml, to_xml
 
 from graphgen import corpus
-from helpers import fig1_catalogue, fig1_graph, shape
+from helpers import constants, fig1_catalogue, fig1_graph, in_edges, shape
 from test_kg import GOLDEN
 from test_model import VIOLATION_MATRIX
 from test_penman import AMR_SUITE, INVERSE_PAIRS
@@ -81,7 +81,7 @@ def test_criterion_3_round_trip_and_process_determinism():
             saw_indexed = saw_indexed or edge.label.index is not None
             saw_plain = saw_plain or edge.label.index is None
         document = to_xml(graph)
-        assert from_xml(document).structurally_equal(graph)
+        assert structure_key(from_xml(document)) == structure_key(graph)
         serialized.setdefault(document, set()).add(structure_key(graph))
     assert kinds == {"ConceptNode", "EntityNode", "OmittedNode"}
     assert saw_indexed and saw_plain
@@ -111,7 +111,7 @@ def test_criterion_4_amr_suite():
     for text in AMR_SUITE:
         tree = parse_penman(text)
         graph = amr_to_graph(tree)
-        assert len(graph.nodes) == len(tree.concepts) + len(tree.constants())
+        assert len(graph.nodes) == len(tree.concepts) + len(constants(tree))
         assert len(graph.edges) == len(tree.slots)
     assert len(INVERSE_PAIRS) == 5
     for inverted, forward in INVERSE_PAIRS:
@@ -129,7 +129,7 @@ def test_criterion_5_umr_promotion():
     s1t2 = [nid for nid, node in graph.nodes.items()
             if isinstance(node, ConceptNode) and node.name == "s1t2"]
     assert len(s1t2) == 1
-    assert [str(e.label) for e in graph.in_edges(s1t2[0])] == ["temporal"]
+    assert [str(e.label) for e in in_edges(graph, s1t2[0])] == ["temporal"]
     assert [str(e.label) for e in graph.out_edges(s1t2[0])] == ["contained"]
 
     # naive conversion (constant stays an entity) breaks the leaf rule

@@ -267,6 +267,24 @@ class TestExitCodeMatrix:
         assert captured.out == ""
         assert captured.err == f"semgraph: error: {message}\n"
 
+    @pytest.mark.parametrize("command,data,byte,location", [
+        (["validate"], b'<semanticgraph version="1">\r\n<concept id="\xc3\xa9\xff"/>',
+         "0xff", "(line 2, column 15)"),
+        (["convert", "--from", "ttl", "--to", "xml"], b'ex:a ex:b "x\r\ry\xc3',
+         "0xc3", "(line 3, column 2)"),
+        (["catalogue", "list"], b"\x80<catalogue/>", "0x80", "(line 1, column 1)"),
+        (["render"], b"<!--\n" + b"x" * 100_000 + b"\xff-->", "0xff", "(line 2, column 100001)"),
+    ], ids=["validate", "ttl-lone-cr", "catalogue", "past-100k"])
+    def test_undecodable_input_reports_path_and_location(self, tmp_path, capsys, command,
+                                                         data, byte, location):
+        source = tmp_path / "bad.txt"
+        source.write_bytes(data)
+        assert main([*command, str(source)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"semgraph: error: {source}: byte {byte} is not valid UTF-8 {location}\n"
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["validate", "--frobnicate", str(tmp_path)]) == 3
 

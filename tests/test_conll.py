@@ -10,6 +10,7 @@ from semgraph.conll import (
     parse_conll,
 )
 from semgraph.model import OmittedNode, validate
+from helpers import in_edges
 
 
 def _line(i, form, tag):
@@ -150,7 +151,7 @@ class TestCausationToGraph:
         assert g.nodes[language[0].target].value == "it"
         # span entities are shared leaves: causation side plus document side
         for edge in cause_edges + effect_edges:
-            assert len(g.in_edges(edge.target)) == 2
+            assert len(in_edges(g, edge.target)) == 2
             assert not g.out_edges(edge.target)
 
     def test_sentence_tops_the_construction(self):
@@ -158,7 +159,7 @@ class TestCausationToGraph:
         sentence_node = [nid for nid, n in g.nodes.items()
                          if getattr(n, "name", None) == "Sentence"][0]
         assert {str(e.label) for e in g.out_edges(sentence_node)} == {"content", "source"}
-        assert not g.in_edges(sentence_node)
+        assert not in_edges(g, sentence_node)
 
     def test_cause_only_yields_omitted_effect(self):
         sentence = parse_conll(_sentence_text([("fuoco", "B-Cause")]))[0]

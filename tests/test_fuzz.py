@@ -4,6 +4,7 @@ Each case starts from a valid seed file and inserts, deletes or replaces a
 few characters. The reader may accept the result or reject it, but only with
 its own ``SourceError`` subclass or a ``GraphError``; the CLI may exit 0 or
 2, or 1 with the violations printed, and never lets an exception escape.
+The CLI is also fed seed files with bytes that are not UTF-8.
 """
 
 import contextlib
@@ -102,5 +103,46 @@ def test_mutated_input_fails_cleanly(fmt, tmp_path):
             assert printed and all(line.split("\t")[0] in VIOLATION_CODES for line in printed)
         if code == 2:
             assert err.getvalue().startswith("semgraph: error: ")
+
+    check()
+
+
+# Bytes that break UTF-8 (a stray 0xff, a lone lead or continuation byte, a
+# lead byte cut off by the end of the file) and some that do not.
+BYTES = [b"\xff", b"\xc3", b"\x80", b"\xe2\x82", b"\xc3\xa9", b"\r", b"\n", b"\x00"]
+
+
+@st.composite
+def mutated_bytes(draw, seed: str) -> bytes:
+    data = seed.encode("utf-8")
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(data)))
+        end = draw(st.integers(start, min(len(data), start + 6)))
+        data = data[:start] + b"".join(draw(st.lists(st.sampled_from(BYTES), max_size=3))) \
+            + data[end:]
+    return data
+
+
+@pytest.mark.parametrize("fmt", list(READERS))
+def test_mutated_bytes_fail_cleanly(fmt, tmp_path):
+    command = READERS[fmt][2]
+    path = tmp_path / "input"
+
+    @settings(derandomize=True, deadline=None, max_examples=50, database=None)
+    @given(mutated_bytes(SEEDS[fmt]))
+    def check(data):
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, str(path)])
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            [line] = err.getvalue().splitlines()
+            assert line.startswith("semgraph: error: ")
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            assert code == 2 and "is not valid UTF-8 (line " in err.getvalue()
 
     check()

@@ -1,14 +1,18 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import turtle_oracle
 from semgraph.kg import (
     TurtleError,
+    _tokenize,
     events_to_graph,
     parse_turtle,
     split_events,
-    top_level_events,
 )
 from semgraph.model import ConceptNode, EntityNode, validate
 from semgraph.xmlio import to_xml
+from helpers import in_edges, top_level_events
+from test_fuzz import SEEDS, mutated
 
 PREFIXES = """\
 @prefix wd:   <http://www.wikidata.org/entity/> .
@@ -31,6 +35,24 @@ wd:Q3 a sem:Event ;
     rdfs:label "Women's March" ;
     sem:subEventOf wd:Q1073320 .
 """
+
+# A character between a predicate and its object, and the error it gives.
+STRAY_REASONS = {
+    ">": "unexpected character '>'",
+    "\v": "unexpected character '\\x0b'",
+    "\f": "unexpected character '\\x0c'",
+    "\x85": "unexpected character '\\x85'",
+    "\xa0": "unexpected character '\\xa0'",
+    "^": "unexpected character '^'",
+    "<": "unterminated IRI",
+    '"': "unterminated string literal",
+    "[": "unsupported construct: blank nodes",
+    "]": "unsupported construct: blank nodes",
+    "(": "unsupported construct: collections",
+    ")": "unsupported construct: collections",
+    "{": "unsupported construct: graph blocks",
+    "}": "unsupported construct: graph blocks",
+}
 
 
 class TestParseTurtle:
@@ -98,11 +120,40 @@ class TestParseTurtle:
         assert exc.value.line == 6
         assert exc.value.column is not None
 
-    @pytest.mark.parametrize("stray", [">", "\v", "\f"])
+    @pytest.mark.parametrize("stray", list(STRAY_REASONS))
     def test_stray_character_located(self, stray):
         with pytest.raises(TurtleError) as exc:
             parse_turtle(PREFIXES + f"wd:Q1 ex:p{stray}wd:Q2 .\n")
+        assert exc.value.reason == STRAY_REASONS[stray]
         assert (exc.value.line, exc.value.column) == (5, 11)
+
+    @pytest.mark.parametrize("text,reason,location", [
+        ("ex:a ex:p <> .", "empty IRI", (1, 11)),
+        ('ex:a ex:p "abc\\', "unterminated string literal", (1, 11)),
+        ('ex:a ex:p """abc""" .', "unsupported construct: triple-quoted strings", (1, 11)),
+        ('ex:a ex:p "a"@ .', "malformed '@' token", (1, 14)),
+        ("@9prefix ex: <http://x> .", "malformed '@' token", (1, 1)),
+        ("ex:a ex:p ex:b..", "unexpected '.'", (1, 16)),
+        ("# c\n\tex:a ex:p\v", "unexpected character '\\x0b'", (2, 11)),
+    ])
+    def test_lexer_error_reason_and_location(self, text, reason, location):
+        with pytest.raises(TurtleError) as exc:
+            parse_turtle(text)
+        assert exc.value.reason == reason
+        assert (exc.value.line, exc.value.column) == location
+
+    def test_iri_may_span_a_newline(self):
+        store = parse_turtle("<http://a/\ns> <http://a/p> <http://a/o> .\n")
+        assert store.triples[0][0].text == "http://a/\ns"
+
+    def test_word_dots(self):
+        store = parse_turtle(PREFIXES + "wd:Q1 ex:p wd:a.b.\nwd:Q2 ex:p wd:c.\n")
+        assert [t[2].text for t in store.triples] == ["wd:a.b", "wd:c"]
+        assert store.triples[1][0].text == "wd:Q2"
+
+    def test_unknown_escape_keeps_its_character(self):
+        store = parse_turtle(PREFIXES + 'wd:Q1 rdfs:label "a\\qb\\tc" .\n')
+        assert store.triples[0][2].text == "aqb\tc"
 
     def test_bare_word_rejected(self):
         with pytest.raises(TurtleError):
@@ -174,7 +225,7 @@ class TestEventsToGraph:
         assert len(g.nodes) == 2 and len(g.edges) == 1
         concept = [n for n in g.nodes.values() if isinstance(n, ConceptNode)][0]
         assert concept.name == "rdfs:label"
-        assert not g.in_edges(concept.id)
+        assert not in_edges(g, concept.id)
         assert str(g.edges[0].label) == "value"
 
     def test_empty_store_empty_graph(self):
@@ -295,3 +346,39 @@ ex:a ex:p "5" .
         assert second.triples == [t for t in store.triples if t[0].text in ("ex:b", "ex:b2")]
         assert first.prefixes == second.prefixes == store.prefixes
         assert first.prefixes is not store.prefixes
+
+
+def _lexed(tokenize, text):
+    """The tokens of ``text``, or the reason and location of its error."""
+    try:
+        return tokenize(text)
+    except TurtleError as exc:
+        return exc.reason, exc.line, exc.column
+
+
+# Every character the lexer treats specially, and white space that it does
+# not skip.
+LEXER_ALPHABET = list('<>"\\@^;,.#[](){} \t\r\n\v\x85\xa0') + ['"""', "^^", "ex:a", "@en"]
+
+
+class TestAgainstCharacterLexer:
+    """The master-regex lexer against the per-character one it replaced."""
+
+    @pytest.mark.parametrize("strategy", [
+        mutated(SEEDS["ttl"]),
+        mutated(GOLDEN),
+        st.lists(st.sampled_from(LEXER_ALPHABET) | st.characters(), max_size=12).map("".join),
+        st.text(st.sampled_from('\\"ntrq\n') | st.characters(), max_size=8).map(
+            lambda body: f'ex:a ex:p "{body}" .'),
+    ], ids=["fuzz-seed", "golden", "alphabet", "literal"])
+    def test_same_tokens_or_same_error(self, strategy):
+        @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+        @given(strategy)
+        def check(text):
+            assert _lexed(_tokenize, text) == _lexed(turtle_oracle.tokenize, text)
+
+        check()
+
+    def test_same_tokens_on_the_seeds(self):
+        for text in (SEEDS["ttl"], GOLDEN):
+            assert _tokenize(text) == turtle_oracle.tokenize(text)

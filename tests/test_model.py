@@ -352,7 +352,7 @@ class TestMerge:
     def test_merge_with_empty_is_identity(self):
         g = fig1_graph()
         merged = merge(g, SemanticGraph(), [])
-        assert merged.structurally_equal(g)
+        assert structure_key(merged) == structure_key(g)
 
     def test_incompatible_names_rejected(self):
         g1 = SemanticGraph()
@@ -491,7 +491,7 @@ class TestStructureKey:
         reordered.nodes.update(g.nodes)
         reordered.edges.extend(reversed(g.edges))
         assert structure_key(reordered) == structure_key(g)
-        assert g.structurally_equal(reordered)
+        assert structure_key(g) == structure_key(reordered)
         renamed = fig1_graph()
         renamed.nodes["n1"] = ConceptNode("n1", "Top")
         assert structure_key(renamed) != structure_key(g)

@@ -2,6 +2,7 @@ import pytest
 
 from semgraph.model import ConceptNode, EntityNode, validate
 from semgraph.ucca import UccaError, parse_ucca, ucca_to_graph
+from helpers import in_edges
 
 GOLF = """\
 root u1
@@ -115,7 +116,7 @@ class TestUccaToGraph:
         assert len(g.nodes) == len(passage.nodes)
         assert len(g.edges) == len(passage.edges)
         entity = [nid for nid, n in g.nodes.items() if isinstance(n, EntityNode)][0]
-        assert len(g.in_edges(entity)) == 2
+        assert len(in_edges(g, entity)) == 2
 
     def test_same_category_siblings_become_indexed(self):
         g = ucca_to_graph(parse_ucca(GOLF))

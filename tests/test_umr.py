@@ -8,6 +8,7 @@ from semgraph.model import (
     RoleLabel,
     SemanticGraph,
     merge,
+    structure_key,
     validate,
 )
 from semgraph.penman import (
@@ -18,6 +19,7 @@ from semgraph.penman import (
     parse_umr_document,
     umr_to_graph,
 )
+from helpers import in_edges
 
 S1T2_DOCUMENT = """\
 (s1s / sentence :temporal s1t2 :aspect s1t)
@@ -56,7 +58,7 @@ class TestUmrToGraph:
         combined = umr_to_graph(document)
         expected = merge(amr_to_graph(document.sentences[0]),
                          amr_to_graph(document.sentences[1]), [])
-        assert combined.structurally_equal(expected)
+        assert structure_key(combined) == structure_key(expected)
 
     def test_s1t2_promotion_scenario(self):
         g = umr_to_graph(parse_umr_document(S1T2_DOCUMENT))
@@ -65,7 +67,7 @@ class TestUmrToGraph:
                     if isinstance(node, ConceptNode) and node.name == "s1t2"]
         assert len(promoted) == 1
         node = promoted[0]
-        incoming = [str(e.label) for e in g.in_edges(node)]
+        incoming = [str(e.label) for e in in_edges(g, node)]
         outgoing = [(str(e.label), e.target) for e in g.out_edges(node)]
         assert incoming == ["temporal"]
         assert len(outgoing) == 1 and outgoing[0][0] == "contained"
@@ -118,7 +120,7 @@ class TestUmrToGraph:
         promoted = [n for n in g.nodes.values()
                     if isinstance(n, ConceptNode) and n.name == "s1t2"]
         assert len(promoted) == 1
-        assert len(g.in_edges(promoted[0].id)) == 2
+        assert len(in_edges(g, promoted[0].id)) == 2
 
     def test_doc_edge_between_variables(self):
         text = ("(s1p / person)\n\n(s2p / person)\n\n"
