@@ -54,15 +54,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
+    """The text of a UTF-8 file, without a leading byte-order mark."""
     with open(path, encoding="utf-8") as handle:
         try:
-            return handle.read()
+            return handle.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:  # read() decodes all of the file in one call
             data, bad = exc.object, exc.start
-    # The text before the bad byte, with the universal newlines read() gives.
-    valid = data[:bad].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    # Located as read() would give the text before the bad byte.
+    valid = data[:bad].decode("utf-8").removeprefix("\ufeff")
     raise model.SourceError(f"{path}: byte 0x{data[bad]:02x} is not valid UTF-8",
-                            *model.line_col(valid, len(valid)))
+                            *model.line_col_after(valid))
 
 
 def _write(output: str | None, text: str) -> None:

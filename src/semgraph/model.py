@@ -54,6 +54,14 @@ def line_col(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
+def line_col_after(text: str) -> tuple[int, int]:
+    """The 1-based (line, column) just past the end of ``text``, where lines
+    end at "\\n", "\\r\\n" or a lone "\\r", as expat and universal-newline
+    reading count them."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return line_col(text, len(text))
+
+
 def _lines(text: str) -> Iterator[tuple[int, str]]:
     """Each line of ``text`` with the offset it starts at. Lines end at "\\n"
     only, as ``line_col`` counts them; a "\\r" ending a line is dropped."""
@@ -88,7 +96,7 @@ def _check_id(node_id: str) -> None:
         raise ValueError(f"invalid node id {node_id!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoleLabel:
     """A named role slot, optionally indexed (1-based) for sibling multiplicity."""
 
@@ -105,7 +113,7 @@ class RoleLabel:
         return self.name if self.index is None else f"{self.name}[{self.index}]"
 
 
-@dataclass
+@dataclass(slots=True)
 class ConceptNode:
     """Predicate node; the only node kind that may own outgoing role edges."""
 
@@ -118,7 +126,7 @@ class ConceptNode:
             raise ValueError("concept name must be non-empty")
 
 
-@dataclass
+@dataclass(slots=True)
 class EntityNode:
     """Leaf node for an instance: a value plus the classes it belongs to."""
 
@@ -132,7 +140,7 @@ class EntityNode:
             raise ValueError("entity value must be non-empty")
 
 
-@dataclass
+@dataclass(slots=True)
 class OmittedNode:
     """Leaf placeholder for a role that is implied but unexpressed in the source."""
 
@@ -145,7 +153,7 @@ class OmittedNode:
 Node = Union[ConceptNode, EntityNode, OmittedNode]
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     source: str
     label: RoleLabel
@@ -459,6 +467,22 @@ class ConceptCatalogue:
         return sorted(self.entries)
 
 
+def _slots_ok(out: list[Edge]) -> bool:
+    """Whether one source's out-edges fill each role slot once and index each
+    indexed role 1..k."""
+    slots = {(edge.label.name, edge.label.index) for edge in out}
+    if len(slots) != len(out):
+        return False
+    counts: dict[str, int] = {}
+    tops: dict[str, int] = {}
+    for name, index in slots:
+        if index is not None:
+            counts[name] = counts.get(name, 0) + 1
+            tops[name] = max(tops.get(name, 0), index)
+    # k distinct indices >= 1 are 1..k exactly when the largest is k.
+    return counts == tops
+
+
 def validate(graph: SemanticGraph, catalogue: ConceptCatalogue | None = None,
              mode: str = "lax") -> list[Violation]:
     """Check the graph and return all violations found (empty list = valid).
@@ -494,8 +518,13 @@ def validate(graph: SemanticGraph, catalogue: ConceptCatalogue | None = None,
             violations.append(Violation(
                 DANGLING_TARGET, edge,
                 f"edge target '{edge.target}' is not a node in the graph"))
+    # Each source's slots are checked on its out-edges alone. Only the edges of
+    # the sources at fault are keyed below, in ``graph.edges`` order, so that
+    # the violations come in that order.
+    faulty = {source for source, out in graph._adjacency().items() if not _slots_ok(out)}
+    faulty_edges = [edge for edge in graph.edges if edge.source in faulty] if faulty else []
     slots: dict[tuple[str, str, int | None], list[Edge]] = {}
-    for edge in graph.edges:
+    for edge in faulty_edges:
         slots.setdefault((edge.source, edge.label.name, edge.label.index), []).append(edge)
     for (source, name, index), group in slots.items():
         if len(group) > 1:
@@ -504,7 +533,7 @@ def validate(graph: SemanticGraph, catalogue: ConceptCatalogue | None = None,
                 f"role slot '{RoleLabel(name, index)}' of '{source}'"
                 f" is filled {len(group)} times"))
     index_sets: dict[tuple[str, str], set[int]] = {}
-    for edge in graph.edges:
+    for edge in faulty_edges:
         if edge.label.index is not None:
             index_sets.setdefault((edge.source, edge.label.name), set()).add(edge.label.index)
     for (source, name), indices in index_sets.items():

@@ -9,6 +9,7 @@ built in its start-tag handler, and no element tree is kept.
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Callable
 from xml.parsers import expat
@@ -27,6 +28,7 @@ from .model import (
     SourceError,
     _ID_RE,
     line_col,
+    line_col_after,
     validate,
 )
 
@@ -34,6 +36,7 @@ _INDEX_RE = re.compile(r"[1-9][0-9]*\Z")
 # What may precede a DOCTYPE: the XML declaration, comments, PIs, white space.
 _PROLOG_RE = re.compile(r"(?:<\?.*?\?>|<!--.*?-->|\s)*", re.DOTALL)
 _DOCTYPE = "DOCTYPE declarations are not allowed"
+_FEED_CHARS = 1 << 16
 
 
 class XmlError(SourceError):
@@ -124,14 +127,20 @@ def _tag(name: str) -> str:
 
 
 def _parse(parser, text: str) -> None:
+    # Fed in slices: expat reads UTF-8, and a str that is not ASCII keeps the
+    # UTF-8 copy made of it for as long as it lives.
+    at = 0
     try:
-        parser.Parse(text, True)
+        for at in range(0, len(text), _FEED_CHARS):
+            parser.Parse(text[at:at + _FEED_CHARS], False)
+        parser.Parse("", True)
     except expat.ExpatError as exc:
         raise XmlSyntaxError(f"malformed XML: {expat.ErrorString(exc.code)}",
                              exc.lineno, exc.offset + 1) from None
-    except UnicodeEncodeError as exc:  # expat reads UTF-8, which has no lone surrogates
-        raise XmlSyntaxError(f"malformed XML: lone surrogate {text[exc.start]!r}",
-                             *line_col(text, exc.start)) from None
+    except UnicodeEncodeError as exc:  # UTF-8 has no lone surrogates
+        bad = at + exc.start
+        raise XmlSyntaxError(f"malformed XML: lone surrogate {text[bad]!r}",
+                             *line_col_after(text[:bad])) from None
 
 
 def _read(text: str, grammar: dict[str, tuple], root: str,
@@ -221,7 +230,6 @@ def from_xml(text: str) -> SemanticGraph:
     """
     graph = SemanticGraph()
     nodes, edges = graph.nodes, graph.edges
-    role_starts: list[tuple[int, int]] = []  # of each edge in edges
     labels: dict[tuple[str, str | None], RoleLabel] = {}  # one per (name, index text)
     source = ""  # id of the node element the parser is in
 
@@ -233,7 +241,6 @@ def from_xml(text: str) -> SemanticGraph:
             if label is None:
                 label = labels[key] = _role_label(*key, source, where)
             edges.append(Edge(source, label, attributes["target"]))
-            role_starts.append(where)
         elif name == "class":
             if not attributes["name"]:
                 raise XmlSchemaError(f"empty class name on entity '{source}'", *where)
@@ -257,10 +264,30 @@ def from_xml(text: str) -> SemanticGraph:
             source = node_id
 
     _read(text, _GRAPH, "semanticgraph", start)
-    for edge, where in zip(edges, role_starts):
+    for k, edge in enumerate(edges):
         if edge.target not in nodes:
-            raise XmlSchemaError(f"role target references unknown id '{edge.target}'", *where)
+            raise XmlSchemaError(f"role target references unknown id '{edge.target}'",
+                                 *_role_start(text, k))
     return graph
+
+
+def _role_start(text: str, k: int) -> tuple[int, int]:
+    """The (line, column) of the ``k``-th (0-based) ``role`` start tag of a
+    graph document that ``_read`` has accepted, which is where ``edges[k]`` of
+    ``from_xml`` starts: edges are appended in document order. It is found by
+    a second parse, so that reading keeps no location per role."""
+    parser = expat.ParserCreate(namespace_separator="}")
+    roles = itertools.count()
+    where = None
+
+    def on_start(name, _):
+        nonlocal where
+        if name == "role" and next(roles) == k:
+            where = (parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
+
+    parser.StartElementHandler = on_start
+    _parse(parser, text)
+    return where
 
 
 def catalogue_to_xml(catalogue: ConceptCatalogue) -> str:

@@ -24,9 +24,10 @@ VALUES = [
 CLASSES = ["5-level degree", "UCCA.Terminal", "UnanalysedSubtree", "Probability", "Äß"]
 
 
-def random_graph(rng: random.Random, max_nodes: int = 30, max_edges: int = 60) -> SemanticGraph:
+def random_graph(rng: random.Random, max_nodes: int = 30, max_edges: int = 60,
+                 min_nodes: int = 0) -> SemanticGraph:
     graph = SemanticGraph()
-    for _ in range(rng.randint(0, max_nodes)):
+    for _ in range(rng.randint(min_nodes, max_nodes)):
         kind = rng.random()
         if kind < 0.55:
             graph.add_concept(rng.choice(CONCEPT_NAMES))

@@ -142,6 +142,39 @@ class TestConvert:
         assert "s1t2" in {getattr(n, "name", None) for n in graph.nodes.values()}
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a file is not part of its text."""
+
+    INPUTS = {
+        "amr": AMR,
+        "umr": "(s1s / sentence :temporal s1t2)\n\n# doc\n(s1t2 contained s1s)\n",
+        "ttl": TTL,
+        "conll": "1\ta\ta\tX\t_\t_\t0\td\tB-Cause\n",
+        "ucca": "root u1\nunit u1\nterm t1 Golf\nedge u1 t1 A\n",
+    }
+
+    @pytest.mark.parametrize("source", INPUTS)
+    def test_convert_ignores_it(self, tmp_path, capsys, source):
+        text = self.INPUTS[source]
+        outcomes = []
+        for name, data in (("plain", text), ("marked", "\ufeff" + text)):
+            path = tmp_path / f"{name}.{source}"
+            path.write_text(data, encoding="utf-8")
+            code = main(["convert", "--from", source, "--to", "xml", str(path)])
+            outcomes.append((code, capsys.readouterr()))
+        assert outcomes[0][0] == 0
+        assert outcomes[1] == outcomes[0]
+
+    def test_validate_ignores_it(self, tmp_path, capsys):
+        outcomes = []
+        for name, data in (("plain", BAD_GRAPH_XML), ("marked", "\ufeff" + BAD_GRAPH_XML)):
+            path = tmp_path / f"{name}.xml"
+            path.write_text(data, encoding="utf-8")
+            outcomes.append((main(["validate", str(path)]), capsys.readouterr()))
+        assert outcomes[0][0] == 1
+        assert outcomes[1] == outcomes[0]
+
+
 class TestValidateCommand:
     def test_valid_file_exits_zero_silently(self, tmp_path, capsys):
         path = tmp_path / "ok.xml"
@@ -274,7 +307,9 @@ class TestExitCodeMatrix:
          "0xc3", "(line 3, column 2)"),
         (["catalogue", "list"], b"\x80<catalogue/>", "0x80", "(line 1, column 1)"),
         (["render"], b"<!--\n" + b"x" * 100_000 + b"\xff-->", "0xff", "(line 2, column 100001)"),
-    ], ids=["validate", "ttl-lone-cr", "catalogue", "past-100k"])
+        (["convert", "--from", "amr", "--to", "xml"], b"\xef\xbb\xbf(a\xff", "0xff",
+         "(line 1, column 3)"),
+    ], ids=["validate", "ttl-lone-cr", "catalogue", "past-100k", "after-bom"])
     def test_undecodable_input_reports_path_and_location(self, tmp_path, capsys, command,
                                                          data, byte, location):
         source = tmp_path / "bad.txt"

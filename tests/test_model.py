@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from semgraph.model import (
     BAD_INDEX_SET,
@@ -35,7 +35,8 @@ from semgraph.model import (
 )
 from semgraph.dot import to_dot
 from semgraph.xmlio import from_xml, to_xml
-from graphgen import corpus, random_graph
+import validate_oracle
+from graphgen import CONCEPT_NAMES, ROLE_NAMES, corpus, random_graph
 from helpers import fig1_catalogue, fig1_graph, shape
 
 
@@ -228,6 +229,60 @@ class TestValidate:
         entity = g.add_entity("4")
         g.edges.append(Edge(entity, RoleLabel("X"), "ghost"))
         assert validate(g) == validate(g)
+
+
+@st.composite
+def _faulty_graphs(draw):
+    """A generated graph with edges appended past the ``add_edge`` checks, from
+    and to any node or a missing one, so that sources interleave in ``edges``
+    and slots repeat or leave gaps. ``validate`` may first run on the graph
+    before the appended edges, so that its adjacency is filled in two steps."""
+    graph = random_graph(random.Random(draw(st.integers(0, 2**32 - 1))),
+                         max_nodes=draw(st.integers(0, 12)), max_edges=draw(st.integers(0, 30)))
+    if draw(st.booleans()):
+        validate(graph)
+    ids = [*graph.nodes, "ghost"]
+    for _ in range(draw(st.integers(0, 10))):
+        graph.edges.append(Edge(draw(st.sampled_from(ids)),
+                                RoleLabel(draw(st.sampled_from(["A", "B", ROLE_NAMES[0]])),
+                                          draw(st.sampled_from([None, 1, 2, 3, 5]))),
+                                draw(st.sampled_from(ids))))
+    return graph
+
+
+@st.composite
+def _catalogues(draw):
+    catalogue = ConceptCatalogue()
+    for name in draw(st.lists(st.sampled_from(CONCEPT_NAMES), unique=True)):
+        roles = draw(st.lists(st.sampled_from([*ROLE_NAMES, "A", "B"]), unique=True))
+        catalogue.define(ConceptDefinition(name, [RoleSpec(role, draw(st.booleans()))
+                                                  for role in roles]))
+    return catalogue
+
+
+def _reported(violations):
+    """Code, subject (an edge by identity) and message of each violation, in order."""
+    return [(v.code, v.subject if isinstance(v.subject, str) else id(v.subject), v.message)
+            for v in violations]
+
+
+class TestAgainstEdgeKeyedValidate:
+    """The per-source ``validate`` against the edge-keyed one it replaced."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+    @given(_faulty_graphs(), _catalogues(), st.sampled_from(["lax", "strict"]))
+    def test_same_violations_in_the_same_order(self, graph, catalogue, mode):
+        expected = validate_oracle.validate(graph, catalogue, mode)
+        assert _reported(validate(graph, catalogue, mode)) == _reported(expected)
+
+    def test_generated_graphs_agree(self):
+        roles = [RoleSpec(role, i % 2 == 0) for i, role in enumerate(ROLE_NAMES)]
+        catalogue = ConceptCatalogue([ConceptDefinition(name, roles)
+                                      for name in CONCEPT_NAMES[::2]])
+        for graph in corpus(11, 40, max_nodes=60, max_edges=120):
+            for mode in ("lax", "strict"):
+                assert _reported(validate(graph, catalogue, mode)) == _reported(
+                    validate_oracle.validate(graph, catalogue, mode))
 
 
 def _matrix_entity_out_edge():

@@ -435,6 +435,24 @@ class TestPinnedReading:
         assert exc.value.reason == "malformed XML: lone surrogate '\\udc80'"
         assert (exc.value.line, exc.value.column) == (2, 17)
 
+    @pytest.mark.parametrize("before,location", [
+        ("<a>\r", (2, 1)),
+        ("<a>\r\n", (2, 1)),
+        ("<a>\n\r", (3, 1)),
+        ("<a>\r\r\nb", (3, 2)),
+        ('<semanticgraph version="1">' + " " * 70_000 + "\r", (2, 1)),
+        ('<semanticgraph version="1">' + " " * 70_000, (1, 70_028)),
+    ], ids=["cr", "crlf", "lf-cr", "cr-crlf", "cr-past-64k", "past-64k"])
+    def test_lone_surrogate_is_located_as_expat_counts_lines(self, before, location):
+        with pytest.raises(XmlSyntaxError) as exc:
+            from_xml(before + "\ud800")
+        assert exc.value.reason == "malformed XML: lone surrogate '\\ud800'"
+        assert (exc.value.line, exc.value.column) == location
+        # Expat places markup at fault at the same place.
+        with pytest.raises(XmlSyntaxError) as exc:
+            from_xml(before + "&")
+        assert (exc.value.line, exc.value.column) == location
+
     def test_encoding_declaration_is_ignored_for_text_input(self):
         g = from_xml('<?xml version="1.0" encoding="ISO-8859-1"?>'
                      + _graph('<concept id="a" name="Café"/>'))
@@ -547,6 +565,26 @@ class TestSchemaErrorLocations:
             from_xml(_graph(body))
         assert (exc.value.line, exc.value.column) == location
         assert str(exc.value).endswith(f" (line {location[0]}, column {location[1]})")
+
+    # The reader keeps no location per role: an unresolved target is located
+    # by finding the role start tag of its edge in a second parse.
+    @pytest.mark.parametrize("body,target,location", [
+        ('<concept id="a" name="X">\n<role name="r" target="b"/>\n'
+         '<role name="s" target="z"/></concept>\n<omitted id="b"/>\n'
+         '<concept id="c" name="Y"><role name="t" target="y"/></concept>', "z", (3, 1)),
+        ('<entity id="e" value="v"><class name="k"/><role name="r" target="o"/></entity>\n'
+         '<omitted id="o"><role name="r" target="e"/><role name="s" target="c"/></omitted>\n'
+         '<concept id="c" name="X"><role name="r" target="e"/> <role name="s" target="q"/>'
+         '</concept>', "q", (3, 54)),
+        ('<concept id="c" name="X"><role name="r" target="c"/></concept>\n'
+         '<omitted id="o"><role name="s" target="q"/></omitted>'
+         '<entity id="q2" value="v"/>', "q", (2, 17)),
+    ], ids=["first-of-several", "under-entity-and-omitted", "under-omitted"])
+    def test_unresolved_target_at_its_role(self, body, target, location):
+        with pytest.raises(XmlSchemaError) as exc:
+            from_xml(_graph(body))
+        assert exc.value.reason == f"role target references unknown id '{target}'"
+        assert (exc.value.line, exc.value.column) == location
 
     @pytest.mark.parametrize("document", ['\n<graph version="1"/>',
                                           '<semanticgraph version="2"/>'])
