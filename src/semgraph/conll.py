@@ -14,6 +14,7 @@ from .model import (
     SemanticGraph,
     SourceError,
     _lines,
+    add_planned_edges,
 )
 
 UNANALYSED_CLASS = "UnanalysedSubtree"
@@ -160,18 +161,16 @@ def causation_to_graph(sentence: ConllSentence) -> SemanticGraph:
     sentence_node = graph.add_concept("Sentence")
     causation_node = graph.add_concept("Causation")
     doc_node = graph.add_concept("LanguageDoc")
-    graph.add_edge(sentence_node, RoleLabel("content"), causation_node)
-    graph.add_edge(sentence_node, RoleLabel("source"), doc_node)
+    planned = [(sentence_node, RoleLabel("content"), causation_node),
+               (sentence_node, RoleLabel("source"), doc_node)]
     entity_of = {span: graph.add_entity(span_text(sentence, span), [UNANALYSED_CLASS])
                  for span in spans}
     for label, role in (("Cause", "cause"), ("Effect", "effect")):
-        group = [span for span in spans if span.label == label]
-        if group:
-            for i, span in enumerate(group, start=1):
-                graph.add_edge(causation_node, RoleLabel(role, i), entity_of[span])
-        else:
-            graph.add_edge(causation_node, RoleLabel(role, 1), graph.add_omitted())
-    graph.add_edge(doc_node, RoleLabel("language"), graph.add_entity(sentence.language))
-    for i, span in enumerate(spans, start=1):
-        graph.add_edge(doc_node, RoleLabel("element", i), entity_of[span])
+        targets = [entity_of[span] for span in spans if span.label == label]
+        for i, target in enumerate(targets or [graph.add_omitted()], start=1):
+            planned.append((causation_node, RoleLabel(role, i), target))
+    planned.append((doc_node, RoleLabel("language"), graph.add_entity(sentence.language)))
+    planned += [(doc_node, RoleLabel("element", i), entity_of[span])
+                for i, span in enumerate(spans, start=1)]
+    add_planned_edges(graph, planned)
     return graph

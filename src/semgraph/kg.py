@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 from .model import RoleLabel, SemanticGraph, SourceError, add_planned_edges, line_col
@@ -236,8 +236,9 @@ def events_to_graph(store: TripleStore) -> SemanticGraph:
     encompassing event owns its children); and, for every remaining triple, a
     role named after the predicate leading to a fresh predicate concept whose
     `id` (resource object) or `value` (literal object) role holds the object.
-    Triples whose subject is not a typed event yield the same detached
-    predicate-concept/leaf pairs, so no triple is dropped.
+    A role an event gets twice, say from an `<id>` predicate, is indexed 1..k
+    in that order. Triples whose subject is not a typed event yield the same
+    detached predicate-concept/leaf pairs, so no triple is dropped.
     """
     children = _events(store.triples)
     graph = SemanticGraph()
@@ -256,18 +257,13 @@ def events_to_graph(store: TripleStore) -> SemanticGraph:
             own[s.text].append((p, o))
     for event, event_node in events.items():
         planned = [(event_node, RoleLabel("id"), graph.add_entity(event))]
-        for position, label in enumerate(labels[event], start=1):
-            index = None if len(labels[event]) == 1 else position
-            planned.append((event_node, RoleLabel(LABEL_PRED, index), graph.add_entity(label)))
+        for label in labels[event]:
+            planned.append((event_node, RoleLabel(LABEL_PRED), graph.add_entity(label)))
         for position, child in enumerate(children[event], start=1):
             planned.append((event_node, RoleLabel("subEvent", position), events[child]))
-        per_predicate = Counter(p.text for p, _ in own[event])
-        seen: Counter = Counter()
         for p, o in own[event]:
-            seen[p.text] += 1
-            index = seen[p.text] if per_predicate[p.text] > 1 else None
             pred_node = graph.add_concept(p.text)
-            planned.append((event_node, RoleLabel(p.text, index), pred_node))
+            planned.append((event_node, RoleLabel(p.text), pred_node))
             planned.append(_leaf_edge(graph, pred_node, o))
         add_planned_edges(graph, planned)
     add_planned_edges(graph, [_leaf_edge(graph, graph.add_concept(p.text), o)

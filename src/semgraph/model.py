@@ -170,6 +170,21 @@ class Violation:
     message: str
 
 
+def _slot_fault(out: list[Edge]) -> str | None:
+    """The slot rule on one source's out-edges: ``DUPLICATE_ROLE_SLOT`` if a
+    role slot is filled twice, else ``BAD_INDEX_SET`` if an indexed role is
+    not indexed 1..k, else None."""
+    slots = {(edge.label.name, edge.label.index) for edge in out}
+    if len(slots) != len(out):
+        return DUPLICATE_ROLE_SLOT
+    # Indices >= 1 of one role are 1..k exactly when each one above 1 has its
+    # predecessor.
+    if any((name, index - 1) not in slots for name, index in slots
+           if index is not None and index > 1):
+        return BAD_INDEX_SET
+    return None
+
+
 class SemanticGraph:
     """Directed labelled multigraph of concept, entity and omitted nodes.
 
@@ -181,12 +196,12 @@ class SemanticGraph:
     graph.
 
     Beside ``edges`` the graph keeps an adjacency: per source node, its
-    out-edges in insertion order. ``add_edge`` checks a new edge against its
-    source's edges alone, and ``out_edges`` and the serializers read it. It is
-    filled lazily: each read first indexes the edges appended to ``edges``
-    since the last one, so an edge appended to ``edges`` directly (as
-    ``merge``, ``union`` and ``from_xml`` do) is seen too. Edges may only be
-    appended; removing or replacing edges in ``edges`` is not supported.
+    out-edges in insertion order. Edge insertion checks new edges against
+    their sources' edges alone, and ``out_edges`` and the serializers read
+    it. It is filled lazily: each read first indexes the edges appended to
+    ``edges`` since the last one, so an edge appended to ``edges`` directly
+    (as ``merge``, ``union`` and ``from_xml`` do) is seen too. Edges may only
+    be appended; removing or replacing edges in ``edges`` is not supported.
     """
 
     def __init__(self):
@@ -241,33 +256,40 @@ class SemanticGraph:
         """
         if isinstance(label, str):
             label = RoleLabel(label)
-        src = self.nodes.get(source)
-        if src is None:
-            raise GraphError(f"edge source '{source}' is not in the graph",
-                             EDGE_FROM_NON_CONCEPT)
-        if isinstance(src, EntityNode):
-            raise GraphError(
-                f"entity '{source}' cannot have outgoing edges", ENTITY_OUT_EDGE)
-        if isinstance(src, OmittedNode):
-            raise GraphError(
-                f"omitted node '{source}' cannot have outgoing edges", OMITTED_OUT_EDGE)
-        if target not in self.nodes:
-            raise GraphError(f"edge target '{target}' is not in the graph", DANGLING_TARGET)
-        same_name = [e.label.index for e in self._adjacency().get(source, ())
-                     if e.label.name == label.name]
-        if label.index in same_name:
-            raise GraphError(
-                f"role slot '{label}' of '{source}' is already filled", DUPLICATE_ROLE_SLOT)
-        if label.index is not None:
-            indices = {i for i in same_name if i is not None} | {label.index}
-            # k distinct indices >= 1 are 1..k exactly when the largest is k.
-            if len(indices) != max(indices):
-                raise GraphError(
-                    f"adding '{label}' to '{source}' would leave indices {sorted(indices)}"
-                    " non-contiguous", BAD_INDEX_SET)
         edge = Edge(source, label, target)
-        self.edges.append(edge)
+        self._add_edges([edge])
         return edge
+
+    def _add_edges(self, edges: list[Edge]) -> None:
+        """Append ``edges``, all of them or none: raise ``GraphError`` if one has
+        a missing endpoint or a source that is not a concept, or if a source's
+        new edges, with its existing ones of the same role names, break the
+        slot rule. Each source's slots are checked once per call."""
+        new: dict[str, list[Edge]] = {}
+        for edge in edges:
+            src = self.nodes.get(edge.source)
+            if src is None:
+                raise GraphError(f"edge source '{edge.source}' is not in the graph",
+                                 EDGE_FROM_NON_CONCEPT)
+            if isinstance(src, EntityNode):
+                raise GraphError(
+                    f"entity '{edge.source}' cannot have outgoing edges", ENTITY_OUT_EDGE)
+            if isinstance(src, OmittedNode):
+                raise GraphError(
+                    f"omitted node '{edge.source}' cannot have outgoing edges", OMITTED_OUT_EDGE)
+            if edge.target not in self.nodes:
+                raise GraphError(f"edge target '{edge.target}' is not in the graph",
+                                 DANGLING_TARGET)
+            new.setdefault(edge.source, []).append(edge)
+        out = self._adjacency()
+        for source, batch in new.items():
+            names = {edge.label.name for edge in batch}
+            code = _slot_fault([e for e in out.get(source, ()) if e.label.name in names] + batch)
+            if code is not None:
+                what = f"'{batch[0].label}'" if len(batch) == 1 else f"{len(batch)} edges"
+                raise GraphError(f"adding {what} to '{source}' would break the slot rule"
+                                 " (each slot once, indices 1..k)", code)
+        self.edges.extend(edges)
 
     def out_edges(self, node_id: str) -> list[Edge]:
         """The edges leaving ``node_id``, in insertion order."""
@@ -295,27 +317,24 @@ def add_planned_edges(graph: SemanticGraph,
                       planned: Iterable[tuple[str, RoleLabel, str]]) -> None:
     """Insert planned (source, label, target) edges, repairing slot collisions.
 
-    Edges are grouped by (source, role name) in first-occurrence order and each
-    group is inserted together. A group whose labels already occupy distinct
-    slots with a contiguous index set is kept as planned; otherwise the whole
-    group is re-indexed 1..k in plan order. Frontends use this to honour the
-    one-slot-per-role rule when source data repeats a role.
+    Edges are grouped by (source, role name) in first-occurrence order and
+    inserted group after group, in one batch that goes in whole or not at all.
+    A group is kept as planned if ``_slot_fault`` passes it and it is one
+    member or all-indexed; otherwise it is indexed 1..k in plan order.
+    Frontends use this to honour the one-slot-per-role rule when source data
+    repeats a role.
     """
-    groups: dict[tuple[str, str], list[tuple[RoleLabel, str]]] = {}
+    groups: dict[tuple[str, str], list[Edge]] = {}
     for source, label, target in planned:
-        groups.setdefault((source, label.name), []).append((label, target))
-    for (source, name), members in groups.items():
-        keys = [label.index for label, _ in members]
-        indices = [i for i in keys if i is not None]
-        conflict_free = (len(set(keys)) == len(keys)
-                         and sorted(indices) == list(range(1, len(indices) + 1)))
-        if conflict_free:
-            ordered = sorted(members, key=lambda m: (m[0].index is not None, m[0].index or 0))
-            for label, target in ordered:
-                graph.add_edge(source, label, target)
-        else:
-            for i, (_, target) in enumerate(members, start=1):
-                graph.add_edge(source, RoleLabel(name, i), target)
+        groups.setdefault((source, label.name), []).append(Edge(source, label, target))
+    edges: list[Edge] = []
+    for (_, name), group in groups.items():
+        if not (len(group) == 1 or (all(e.label.index is not None for e in group)
+                                    and _slot_fault(group) is None)):
+            for i, edge in enumerate(group, start=1):
+                edge.label = RoleLabel(name, i)
+        edges.extend(group)
+    graph._add_edges(edges)
 
 
 def _copy_node_into(out: SemanticGraph, node: Node) -> str:
@@ -467,22 +486,6 @@ class ConceptCatalogue:
         return sorted(self.entries)
 
 
-def _slots_ok(out: list[Edge]) -> bool:
-    """Whether one source's out-edges fill each role slot once and index each
-    indexed role 1..k."""
-    slots = {(edge.label.name, edge.label.index) for edge in out}
-    if len(slots) != len(out):
-        return False
-    counts: dict[str, int] = {}
-    tops: dict[str, int] = {}
-    for name, index in slots:
-        if index is not None:
-            counts[name] = counts.get(name, 0) + 1
-            tops[name] = max(tops.get(name, 0), index)
-    # k distinct indices >= 1 are 1..k exactly when the largest is k.
-    return counts == tops
-
-
 def validate(graph: SemanticGraph, catalogue: ConceptCatalogue | None = None,
              mode: str = "lax") -> list[Violation]:
     """Check the graph and return all violations found (empty list = valid).
@@ -521,7 +524,7 @@ def validate(graph: SemanticGraph, catalogue: ConceptCatalogue | None = None,
     # Each source's slots are checked on its out-edges alone. Only the edges of
     # the sources at fault are keyed below, in ``graph.edges`` order, so that
     # the violations come in that order.
-    faulty = {source for source, out in graph._adjacency().items() if not _slots_ok(out)}
+    faulty = {source for source, out in graph._adjacency().items() if _slot_fault(out)}
     faulty_edges = [edge for edge in graph.edges if edge.source in faulty] if faulty else []
     slots: dict[tuple[str, str, int | None], list[Edge]] = {}
     for edge in faulty_edges:

@@ -164,6 +164,24 @@ class TestParseTurtle:
             parse_turtle(PREFIXES + "wd:Q1 a sem:Event")
 
 
+def event_roles(graph, name: str) -> list[tuple[str, str]]:
+    """The out-edges of the event whose `id` leaf holds ``name``, in order, as
+    (label, target): an entity's value, or a concept's name with the value of
+    the leaf its first out-edge reaches."""
+    [event] = [e.source for e in graph.edges if graph.nodes[e.source].name == "sem:Event"
+               and isinstance(graph.nodes[e.target], EntityNode)
+               and graph.nodes[e.target].value == name]
+    roles = []
+    for edge in graph.out_edges(event):
+        target = graph.nodes[edge.target]
+        if isinstance(target, ConceptNode):
+            leaf = graph.nodes[graph.out_edges(edge.target)[0].target]
+            roles.append((str(edge.label), f"{target.name}({leaf.value})"))
+        else:
+            roles.append((str(edge.label), target.value))
+    return roles
+
+
 class TestEventsToGraph:
     def test_label_example(self):
         store = parse_turtle(PREFIXES + 'wd:Q1 a sem:Event ; rdfs:label "L" .\n')
@@ -218,6 +236,32 @@ class TestEventsToGraph:
         labels = [e for e in g.edges if e.label.name == "rdfs:label"]
         assert [e.label.index for e in labels] == [1, 2]
         assert [g.nodes[e.target].value for e in labels] == ["A", "B"]
+
+    # A role an event gets from two sources is indexed 1..k in plan order: the
+    # event's own `id`, its label literals and its sub-events come before the
+    # predicates that collide with them.
+    def test_label_literal_and_label_resources_collide(self):
+        g = events_to_graph(parse_turtle(
+            PREFIXES + 'ex:e a sem:Event ; rdfs:label "x" ; rdfs:label ex:r1, ex:r2 .\n'))
+        assert validate(g) == []
+        assert event_roles(g, "ex:e") == [
+            ("id", "ex:e"), ("rdfs:label[1]", "x"),
+            ("rdfs:label[2]", "rdfs:label(ex:r1)"), ("rdfs:label[3]", "rdfs:label(ex:r2)")]
+
+    def test_id_predicates_collide_with_the_id_leaf(self):
+        g = events_to_graph(parse_turtle(
+            PREFIXES + 'ex:e a sem:Event ; <id> ex:a ; <id> "b" .\n'))
+        assert validate(g) == []
+        assert event_roles(g, "ex:e") == [
+            ("id[1]", "ex:e"), ("id[2]", "id(ex:a)"), ("id[3]", "id(b)")]
+
+    def test_subevent_predicate_follows_the_real_subevent(self):
+        g = events_to_graph(parse_turtle(
+            PREFIXES + 'ex:e a sem:Event ; <subEvent> "s" .\n'
+            "ex:c a sem:Event ; sem:subEventOf ex:e .\n"))
+        assert validate(g) == []
+        assert event_roles(g, "ex:e") == [
+            ("id", "ex:e"), ("subEvent[1]", "sem:Event(ex:c)"), ("subEvent[2]", "subEvent(s)")]
 
     def test_non_event_subject_forms_detached_island(self):
         store = parse_turtle(PREFIXES + 'wd:P9 rdfs:label "Paris" .\n')
