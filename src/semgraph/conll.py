@@ -94,6 +94,8 @@ def parse_conll(text: str, default_language: str = "und") -> list[ConllSentence]
             raise ConllError(
                 f"token ids must be contiguous from 1; got {token_id}"
                 f" after {len(tokens)} tokens", lineno)
+        if not columns[1]:
+            raise ConllError("empty FORM column", lineno)
         tag = columns[8]
         if tag not in _TAGS:
             raise ConllError(f"unknown causation tag {tag!r}", lineno)

@@ -147,6 +147,8 @@ class _TurtleParser:
     def _object(self) -> Term:
         token = self._next("an object")
         if token.kind == "string":
+            if not token.value:
+                _fail(self.text, token.offset, "empty string literal")
             nxt = self._peek()
             if nxt is not None and nxt.kind == "at" and nxt.value != "@prefix":
                 self.pos += 1

@@ -296,23 +296,6 @@ class SemanticGraph:
         return list(self._adjacency().get(node_id, ()))
 
 
-def structure_key(graph: SemanticGraph):
-    """Hashable key identifying a graph up to edge order: node ids with their
-    kinds and payloads (concept name, or entity value and classes), and the
-    edges as a multiset."""
-    nodes = []
-    for node_id, node in graph.nodes.items():
-        if isinstance(node, ConceptNode):
-            nodes.append((node_id, "concept", node.name))
-        elif isinstance(node, EntityNode):
-            nodes.append((node_id, "entity", node.value, tuple(node.classes)))
-        else:
-            nodes.append((node_id, "omitted"))
-    edges = sorted((e.source, e.label.name, e.label.index or 0, e.target)
-                   for e in graph.edges)
-    return tuple(sorted(nodes)), tuple(edges)
-
-
 def add_planned_edges(graph: SemanticGraph,
                       planned: Iterable[tuple[str, RoleLabel, str]]) -> None:
     """Insert planned (source, label, target) edges, repairing slot collisions.

@@ -106,90 +106,68 @@ def _tokenize(text: str, start: int, end: int) -> list[_Token]:
     return tokens
 
 
-class _TokenStream:
-    def __init__(self, tokens: list[_Token], text: str, end: int):
-        self._tokens = tokens
-        self._pos = 0
-        self.text = text
-        self.end = end
-
-    def fail(self, reason: str, offset: int) -> PenmanError:
-        return PenmanError(reason, self.text, offset)
-
-    def peek(self) -> _Token | None:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return None
-
-    def next(self) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise self.fail("unexpected end of input", self.end)
-        self._pos += 1
-        return token
-
-
-def _parse_node(stream: _TokenStream, concepts: dict[str, str], slots: list[Slot]) -> str:
-    opening = stream.next()
-    if opening.kind != "(":
-        raise stream.fail("expected '('", opening.offset)
-    var_token = stream.next()
-    if var_token.kind != "token":
-        raise stream.fail("expected a variable name", var_token.offset)
-    var = var_token.value
-    slash = stream.next()
-    if slash.kind != "/":
-        raise stream.fail(f"expected '/' after variable '{var}'", slash.offset)
-    concept_token = stream.next()
-    if concept_token.kind != "token":
-        raise stream.fail("expected a concept label", concept_token.offset)
-    if var in concepts:
-        raise stream.fail(f"variable '{var}' defined twice", var_token.offset)
-    concepts[var] = concept_token.value
-    while True:
-        token = stream.peek()
-        if token is None:
-            raise stream.fail("unbalanced parentheses: missing ')'", stream.end)
-        if token.kind == ")":
-            stream.next()
-            return var
-        if token.kind != "role":
-            raise stream.fail("expected a role or ')'", token.offset)
-        stream.next()
-        role = token.value
-        value = stream.peek()
-        if value is None or value.kind in ("role", ")"):
-            offset = value.offset if value is not None else stream.end
-            raise stream.fail(f"role ':{role}' has no value", offset)
-        if value.kind == "(":
-            slot = Slot(var, role, NODE, "")
-            slots.append(slot)
-            slot.value = _parse_node(stream, concepts, slots)
-        elif value.kind == "string":
-            stream.next()
-            slots.append(Slot(var, role, CONST, value.value))
-        elif value.kind == "token":
-            stream.next()
-            slots.append(Slot(var, role, REF, value.value))  # resolved below
-        else:
-            raise stream.fail("unexpected '/'", value.offset)
-
-
 def _parse_tokens(tokens: list[_Token], text: str, end: int) -> PenmanTree:
-    stream = _TokenStream(tokens, text, end)
+    """Parse one expression in one loop; ``open_vars`` holds the variables of
+    the open nodes, innermost last."""
     concepts: dict[str, str] = {}
     slots: list[Slot] = []
-    try:
-        root = _parse_node(stream, concepts, slots)
-    except RecursionError:
-        raise stream.fail("expression nested too deeply", tokens[0].offset) from None
-    trailing = stream.peek()
-    if trailing is not None:
-        raise stream.fail("unexpected trailing content", trailing.offset)
+    open_vars: list[str] = []
+    pos = 0
+
+    def take(kind: str, reason: str) -> _Token:
+        nonlocal pos
+        if pos == len(tokens):
+            raise PenmanError("unexpected end of input", text, end)
+        token = tokens[pos]
+        if token.kind != kind:
+            raise PenmanError(reason, text, token.offset)
+        pos += 1
+        return token
+
+    # ``child`` is the NODE slot that the next node fills, appended before the
+    # node opens so that slots keep surface order; the root fills one of its own.
+    top = child = Slot("", "", NODE, "")
+    while child is not None or open_vars:
+        if child is not None:
+            take("(", "expected '('")
+            var_token = take("token", "expected a variable name")
+            var = var_token.value
+            take("/", f"expected '/' after variable '{var}'")
+            concept = take("token", "expected a concept label").value
+            if var in concepts:
+                raise PenmanError(f"variable '{var}' defined twice", text, var_token.offset)
+            concepts[var] = concept
+            child.value = var
+            child = None
+            open_vars.append(var)
+        if pos == len(tokens):
+            raise PenmanError("unbalanced parentheses: missing ')'", text, end)
+        token = tokens[pos]
+        pos += 1
+        if token.kind == ")":
+            open_vars.pop()
+            continue
+        if token.kind != "role":
+            raise PenmanError("expected a role or ')'", text, token.offset)
+        value = tokens[pos] if pos < len(tokens) else None
+        if value is None or value.kind in ("role", ")"):
+            raise PenmanError(f"role ':{token.value}' has no value", text,
+                              value.offset if value is not None else end)
+        if value.kind == "(":
+            child = Slot(open_vars[-1], token.value, NODE, "")
+            slots.append(child)
+        elif value.kind == "/":
+            raise PenmanError("unexpected '/'", text, value.offset)
+        else:
+            pos += 1
+            kind = CONST if value.kind == "string" else REF  # a REF is resolved below
+            slots.append(Slot(open_vars[-1], token.value, kind, value.value))
+    if pos < len(tokens):
+        raise PenmanError("unexpected trailing content", text, tokens[pos].offset)
     for slot in slots:
         if slot.kind == REF and slot.value not in concepts:
             slot.kind = CONST
-    return PenmanTree(root, concepts, slots)
+    return PenmanTree(top.value, concepts, slots)
 
 
 def parse_penman(text: str) -> PenmanTree:

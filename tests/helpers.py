@@ -53,10 +53,9 @@ def shape(graph: SemanticGraph):
     """Id-independent signature: node payload multiset plus edges over payloads.
 
     Only discriminating when node payloads are pairwise distinct, which the
-    tests using it guarantee. It is a test helper, not a second canonical key:
-    ``semgraph.model.structure_key`` compares graphs with their ids, while
-    this compares conversion output against hand-built graphs whose ids
-    differ.
+    tests using it guarantee. ``structure_key`` compares graphs with their
+    ids, while this compares conversion output against hand-built graphs
+    whose ids differ.
     """
     payload = {}
     for node_id, node in graph.nodes.items():
@@ -70,6 +69,23 @@ def shape(graph: SemanticGraph):
     edges = sorted((payload[e.source], e.label.name, e.label.index or 0,
                     payload[e.target]) for e in graph.edges)
     return nodes, edges
+
+
+def structure_key(graph: SemanticGraph):
+    """Hashable key identifying a graph up to edge order: node ids with their
+    kinds and payloads (concept name, or entity value and classes), and the
+    edges as a multiset."""
+    nodes = []
+    for node_id, node in graph.nodes.items():
+        if isinstance(node, ConceptNode):
+            nodes.append((node_id, "concept", node.name))
+        elif isinstance(node, EntityNode):
+            nodes.append((node_id, "entity", node.value, tuple(node.classes)))
+        else:
+            nodes.append((node_id, "omitted"))
+    edges = sorted((e.source, e.label.name, e.label.index or 0, e.target)
+                   for e in graph.edges)
+    return tuple(sorted(nodes)), tuple(edges)
 
 
 def in_edges(graph: SemanticGraph, node_id: str) -> list[Edge]:

@@ -20,7 +20,6 @@ from semgraph.model import (
     ConceptNode,
     EntityNode,
     OmittedNode,
-    structure_key,
     validate,
 )
 from semgraph.penman import amr_to_graph, parse_penman, parse_umr_document, umr_to_graph
@@ -28,7 +27,7 @@ from semgraph.ucca import parse_ucca, ucca_to_graph
 from semgraph.xmlio import from_xml, to_xml
 
 from graphgen import corpus
-from helpers import constants, fig1_catalogue, fig1_graph, in_edges, shape
+from helpers import constants, fig1_catalogue, fig1_graph, in_edges, shape, structure_key
 from test_kg import GOLDEN
 from test_model import VIOLATION_MATRIX
 from test_penman import AMR_SUITE, INVERSE_PAIRS

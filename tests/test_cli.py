@@ -1,5 +1,8 @@
 import functools
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -265,8 +268,14 @@ class TestExitCodeMatrix:
         (["validate"], '<semanticgraph version="1">\n<concept id="a"', "(line 2, column 1)"),
         (["validate"], '<semanticgraph version="1">\n  <concept id="a" name="X">\n'
          '    <role name="r" target="b"/></concept></semanticgraph>\n', "(line 3, column 5)"),
+        (["convert", "--from", "ttl", "--to", "xml"],
+         '@prefix ex: <http://e/> .\nex:a a ex:E ; ex:b "x", ""@en .\n',
+         "empty string literal (line 2, column 25)"),
+        (["convert", "--from", "conll", "--to", "xml"],
+         "1\ta\ta\tX\t_\t_\t0\td\tB-Cause\n2\t\tb\tX\t_\t_\t0\td\tB-Effect\n",
+         "empty FORM column (line 2)"),
     ], ids=["amr", "umr", "ttl", "conll", "ucca", "ucca-vt", "conll-nel", "validate",
-            "validate-schema"])
+            "validate-schema", "ttl-empty-literal", "conll-empty-form"])
     def test_malformed_input_reports_location(self, tmp_path, capsys, command, text, location):
         source = tmp_path / "bad.txt"
         source.write_text(text, encoding="utf-8")
@@ -279,9 +288,6 @@ class TestExitCodeMatrix:
         assert lines[0].endswith(location)
 
     @pytest.mark.parametrize("command,text,message", [
-        (["convert", "--from", "amr", "--to", "xml"],
-         "(a / alpha)\n\n" + "".join(f"(a{i} / x :r " for i in range(1200)) + "1" + ")" * 1200,
-         "expression nested too deeply (line 3, column 1)"),
         (["validate"],
          '<semanticgraph version="1"><concept id="a" name="X">'
          f'<role name="r" index="1{"0" * 5000}" target="a"/></concept></semanticgraph>',
@@ -290,7 +296,7 @@ class TestExitCodeMatrix:
          '<!DOCTYPE s [<!ENTITY a "Room">]>\n<semanticgraph version="1">'
          '<concept id="a" name="&a;"/></semanticgraph>',
          "DOCTYPE declarations are not allowed (line 1, column 1)"),
-    ], ids=["amr-nesting", "validate-index", "render-doctype"])
+    ], ids=["validate-index", "render-doctype"])
     def test_input_past_a_reader_limit_is_data_error(self, tmp_path, capsys, command, text,
                                                      message):
         source = tmp_path / "bad.txt"
@@ -341,3 +347,35 @@ class TestExitCodeMatrix:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "semgraph: error:" in captured.err
+
+
+DEPTH = 20_000
+# A root with DEPTH nested nodes under it: DEPTH + 1 concepts.
+DEEP_AMR = "".join(f"(a{i} / x :r " for i in range(DEPTH)) + f"(a{DEPTH} / x" + ")" * (DEPTH + 1)
+
+
+class TestOversizedInput:
+    """Inputs far past the fuzz's size, converted in a child process whose
+    address space is capped at 1 GiB, so that a reader that recurses or
+    copies per level fails instead of filling RAM."""
+
+    @pytest.mark.parametrize("fmt,text,concepts", [
+        ("amr", DEEP_AMR + "\n", DEPTH + 1),
+        ("umr", DEEP_AMR + f"\n\n# doc\n(a0 :before a{DEPTH})\n", DEPTH + 1),
+        ("ucca", "".join(f"unit u{i}\n" for i in range(DEPTH))
+         + "".join(f"edge u{i} u{i + 1} H\n" for i in range(DEPTH - 1)) + "root u0\n", DEPTH),
+    ], ids=["amr-deep", "umr-deep", "ucca-chain"])
+    def test_converts_in_capped_memory(self, tmp_path, fmt, text, concepts):
+        source = tmp_path / f"big.{fmt}"
+        source.write_text(text, encoding="utf-8")
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                  "from semgraph.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        done = subprocess.run(
+            [sys.executable, "-c", script, "convert", "--from", fmt, "--to", "xml", str(source)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert done.stdout.count("<concept ") == concepts

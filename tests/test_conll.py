@@ -74,6 +74,12 @@ class TestParseConll:
             parse_conll(text)
         assert exc.value.line == 2
 
+    def test_empty_form_rejected(self):
+        text = _sentence_text([("a", "B-Cause"), ("", "O"), ("b", "B-Effect")])
+        with pytest.raises(ConllError) as exc:
+            parse_conll(text)
+        assert (exc.value.reason, exc.value.line) == ("empty FORM column", 3)
+
     def test_unknown_tag_rejected(self):
         with pytest.raises(ConllError):
             parse_conll(_sentence_text([("a", "B-Reason")]))

@@ -2,10 +2,10 @@
 
 Each case starts from a valid seed file and inserts, deletes or replaces a
 few characters. The reader may accept the result or reject it, but only with
-its own ``SourceError`` subclass or a ``GraphError``; a frontend's graphs must
-be lax-valid, with no role of a node filled both unindexed and indexed. The
-CLI may exit 0 or 2, or 1 with the violations printed, and never lets an
-exception escape.
+its own ``SourceError`` subclass, which carries a location, never with a
+``GraphError``; a frontend's graphs must be lax-valid, with no role of a node
+filled both unindexed and indexed. The CLI may exit 0 or 2, or 1 with the
+violations printed, and never lets an exception escape.
 The CLI is also fed seed files with bytes that are not UTF-8.
 """
 
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from semgraph import conll, kg, penman, ucca, xmlio
 from semgraph.cli import main
-from semgraph.model import VIOLATION_CODES, GraphError, SourceError, validate
+from semgraph.model import VIOLATION_CODES, SourceError, validate
 
 SEEDS = {
     "amr": ('# ::id 1\n(w / want-01 :ARG0 (b / boy~e.1)\n'
@@ -104,7 +104,7 @@ def test_mutated_input_fails_cleanly(fmt, tmp_path):
     def check(text):
         try:
             graphs = convert(text)
-        except (*errors, GraphError):
+        except errors:
             graphs = []
         for graph in graphs:
             violations = validate(graph)

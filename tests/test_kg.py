@@ -99,6 +99,13 @@ class TestParseTurtle:
             parse_turtle("zz:Q1 a zz:Event .\n")
         assert "unknown prefix" in str(exc.value)
 
+    @pytest.mark.parametrize("obj", ['""', '""@en', '""^^ex:int'])
+    def test_empty_literal_rejected_at_its_quote(self, obj):
+        with pytest.raises(TurtleError) as exc:
+            parse_turtle(PREFIXES + f'wd:Q1 a sem:Event ;\n  rdfs:label "a", {obj} .\n')
+        assert exc.value.reason == "empty string literal"
+        assert (exc.value.line, exc.value.column) == (6, 19)
+
     def test_blank_node_unsupported(self):
         with pytest.raises(TurtleError) as exc:
             parse_turtle(PREFIXES + "wd:Q1 ex:p [ ] .\n")

@@ -29,7 +29,6 @@ from semgraph.model import (
     RoleSpec,
     SemanticGraph,
     merge,
-    structure_key,
     union,
     validate,
 )
@@ -37,7 +36,7 @@ from semgraph.dot import to_dot
 from semgraph.xmlio import from_xml, to_xml
 import validate_oracle
 from graphgen import CONCEPT_NAMES, ROLE_NAMES, corpus, random_graph
-from helpers import fig1_catalogue, fig1_graph, shape
+from helpers import fig1_catalogue, fig1_graph, shape, structure_key
 
 
 class TestAddConcept:

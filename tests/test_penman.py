@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import penman_oracle
+from semgraph import penman
 from semgraph.model import ConceptNode, EntityNode, validate, SemanticGraph
 from semgraph.penman import (
     CONST,
@@ -14,6 +17,7 @@ from semgraph.penman import (
 )
 from semgraph.xmlio import to_xml
 from helpers import constants, in_edges, shape
+from test_fuzz import SEEDS, mutated
 
 
 class TestParsePenman:
@@ -76,13 +80,15 @@ class TestParsePenman:
         tree = parse_penman("(a / A :mod #x\n  # a comment line\n)")
         assert [(slot.kind, slot.value) for slot in tree.slots] == [(CONST, "#x")]
 
-    def test_deep_nesting_rejected_at_first_token(self):
-        depth = 1200
+    def test_nesting_depth_is_not_limited(self):
+        depth = 5000  # past Python's default recursion limit
         text = "".join(f"(a{i} / x :r " for i in range(depth)) + "1" + ")" * depth
-        with pytest.raises(PenmanError) as exc:
-            parse_penman_file("(a / alpha)\n\n" + text)
-        assert exc.value.reason == "expression nested too deeply"
-        assert (exc.value.line, exc.value.column) == (3, 1)
+        tree = parse_penman_file("(a / alpha)\n\n" + text)[1]
+        assert tree.root == "a0"
+        assert len(tree.concepts) == depth
+        assert [(slot.owner, slot.value) for slot in tree.slots[:2]] == \
+            [("a0", "a1"), ("a1", "a2")]
+        assert (tree.slots[-1].owner, tree.slots[-1].kind) == (f"a{depth - 1}", CONST)
 
     @pytest.mark.parametrize("text,fragment", [
         ("(b / boy", "missing ')'"),
@@ -265,3 +271,54 @@ INVERSE_PAIRS = [
 def test_inverse_normalization_pairs(inverted, forward):
     assert shape(amr_to_graph(parse_penman(inverted))) == \
         shape(amr_to_graph(parse_penman(forward)))
+
+
+def _outcome(parse_file, text):
+    """The (root, concepts, slots) of each expression, or the reason and
+    location of the error."""
+    try:
+        return [(tree.root, tree.concepts, tree.slots) for tree in parse_file(text)]
+    except PenmanError as exc:
+        return exc.reason, exc.line, exc.column
+
+
+def _oracle_file(text):
+    """``parse_penman_file`` with the recursive parser it replaced."""
+    return [penman_oracle.parse_tokens(tokens, text, end)
+            for start, end, _ in penman._blocks(text)
+            if (tokens := penman._tokenize(text, start, end))]
+
+
+# Whole role fillings, closings, every token kind alone, an alignment, a
+# comment line and a block break; drawn after an opened root.
+PARSER_ALPHABET = [" :r x", ' :r "s"', " :r (y / d", " :r-of (z / e", ")", ")", " :r", " /",
+                   " (", " x", "~e.1", "\n\n", "\n# c\n"]
+
+
+class TestAgainstRecursiveParser:
+    """The one-loop parser against the recursive one it replaced."""
+
+    @pytest.mark.parametrize("strategy", [
+        mutated(SEEDS["amr"]),
+        mutated(SEEDS["umr"]),
+        mutated("\n\n".join(AMR_SUITE)),
+        st.lists(st.sampled_from(PARSER_ALPHABET), max_size=16).map(
+            lambda parts: "(x / c" + "".join(parts)),
+    ], ids=["fuzz-amr", "fuzz-umr", "suite", "alphabet"])
+    def test_same_trees_or_same_error(self, strategy):
+        @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+        @given(strategy)
+        def check(text):
+            try:
+                expected = _outcome(_oracle_file, text)
+            except RecursionError:
+                assume(False)
+            assert _outcome(parse_penman_file, text) == expected
+
+        check()
+
+    def test_same_trees_on_the_suite(self):
+        text = "\n\n".join(AMR_SUITE)
+        trees = _outcome(parse_penman_file, text)
+        assert len(trees) == len(AMR_SUITE)
+        assert trees == _outcome(_oracle_file, text)

@@ -8,7 +8,6 @@ from semgraph.model import (
     RoleLabel,
     SemanticGraph,
     merge,
-    structure_key,
     validate,
 )
 from semgraph.penman import (
@@ -19,7 +18,7 @@ from semgraph.penman import (
     parse_umr_document,
     umr_to_graph,
 )
-from helpers import in_edges
+from helpers import in_edges, structure_key
 
 S1T2_DOCUMENT = """\
 (s1s / sentence :temporal s1t2 :aspect s1t)

@@ -15,7 +15,6 @@ from semgraph.model import (
     ConceptDefinition,
     Edge,
     SemanticGraph,
-    structure_key,
     validate,
 )
 from semgraph.xmlio import (
@@ -28,7 +27,7 @@ from semgraph.xmlio import (
     to_xml,
 )
 from graphgen import corpus
-from helpers import fig1_graph
+from helpers import fig1_graph, structure_key
 from test_fuzz import SEEDS, mutated
 
 
