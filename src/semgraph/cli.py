@@ -7,9 +7,11 @@ conversion error, 3 usage error. Diagnostics go to stderr, data to stdout.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import tempfile
+from typing import Iterator
 
 from . import conll, dot, kg, model, penman, ucca, xmlio
 
@@ -66,15 +68,19 @@ def _read(path: str) -> str:
                             *model.line_col_after(valid))
 
 
-def _write(output: str | None, text: str) -> None:
+def _write(output: str | None, parts: Iterator[str]) -> None:
+    """Write a serializer's parts to ``output`` atomically, or to stdout."""
+    # Taking the first part runs the serializer's validation, so a graph that
+    # it refuses opens no file, not even a temporary one.
+    parts = itertools.chain([next(parts)], parts)
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     directory = os.path.dirname(os.path.abspath(output))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".semgraph-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(parts)
         os.replace(tmp, output)
     except BaseException:
         if os.path.exists(tmp):
@@ -82,8 +88,12 @@ def _write(output: str | None, text: str) -> None:
         raise
 
 
-def _with_newline(text: str) -> str:
-    return text if text.endswith("\n") else text + "\n"
+def _serialized(target: str, graph: model.SemanticGraph) -> Iterator[str]:
+    """The output file's text in parts: the serializer's, then a newline
+    after XML, whose text ends without one."""
+    if target == "dot":
+        return dot._dot_parts(graph)
+    return itertools.chain(xmlio._xml_parts(graph), ["\n"])
 
 
 def _numbered(path: str, i: int) -> str:
@@ -91,9 +101,37 @@ def _numbered(path: str, i: int) -> str:
     return f"{stem}-{i:02d}{ext}"
 
 
+# The formats whose files hold many units (AMR trees, CoNLL sentences): each
+# one's lazy reader, and how one unit is added into a graph.
+_UNIT_READERS = {
+    "amr": (lambda text, lang: penman._penman_trees(text),
+            lambda graph, tree: penman._to_graph(graph, [tree], [])),
+    "conll": (conll._conll_sentences, conll._add_causation),
+}
+
+
+def _one_graph(units: Iterator, add) -> list[model.SemanticGraph]:
+    """Add each unit into one graph as soon as it is read, so that no unit
+    outlives its turn. The ids and edges are those that ``model.union`` of
+    the per-unit graphs gives; ``[]`` if there was no unit."""
+    graph = model.SemanticGraph()
+    for unit in units:
+        try:
+            add(graph, unit)
+        except (model.GraphError, model.SourceError):
+            for _ in units:  # a parse error further on is the one reported
+                pass
+            raise
+    return [graph] if graph.nodes else []  # every unit adds a node
+
+
 def _convert_units(source: str, text: str, lang: str, combine: bool) -> list[model.SemanticGraph]:
-    if source == "amr":
-        return [penman.amr_to_graph(tree) for tree in penman.parse_penman_file(text)]
+    if source in _UNIT_READERS:
+        read, add = _UNIT_READERS[source]
+        if combine:
+            return _one_graph(read(text, lang), add)
+        units = list(read(text, lang))  # a parse error anywhere comes first
+        return [add(model.SemanticGraph(), unit) for unit in units]
     if source == "umr":
         return [penman.umr_to_graph(penman.parse_umr_document(text))]
     if source == "ttl":
@@ -101,29 +139,23 @@ def _convert_units(source: str, text: str, lang: str, combine: bool) -> list[mod
         if combine:
             return [kg.events_to_graph(store)]
         return [kg.events_to_graph(sub) for sub in kg.split_events(store)]
-    if source == "conll":
-        return [conll.causation_to_graph(sentence)
-                for sentence in conll.parse_conll(text, default_language=lang)]
     return [ucca.ucca_to_graph(ucca.parse_ucca(text))]
 
 
 def _cmd_convert(args) -> int:
-    text = _read(args.input)
-    graphs = _convert_units(args.source, text, args.lang, args.combine)
+    graphs = _convert_units(args.source, _read(args.input), args.lang, args.combine)
     if not graphs:
         print("semgraph: error: input contains no convertible content", file=sys.stderr)
         return 2
-    serialize = xmlio.to_xml if args.target == "xml" else dot.to_dot
-    if args.combine or len(graphs) == 1:
-        combined = graphs[0] if len(graphs) == 1 else model.union(graphs)
-        _write(args.output, _with_newline(serialize(combined)))
+    if len(graphs) == 1:  # always so when combining
+        _write(args.output, _serialized(args.target, graphs[0]))
         return 0
     if not args.output:
         print("semgraph: error: --no-combine with multiple graphs requires -o/--output",
               file=sys.stderr)
         return 3
     for i, graph in enumerate(graphs, start=1):
-        _write(_numbered(args.output, i), _with_newline(serialize(graph)))
+        _write(_numbered(args.output, i), _serialized(args.target, graph))
     return 0
 
 
@@ -142,7 +174,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_render(args) -> int:
     graph = xmlio.from_xml(_read(args.input))
-    _write(args.output, dot.to_dot(graph))
+    _write(args.output, dot._dot_parts(graph))
     return 0
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .model import (
     ConceptCatalogue,
@@ -44,6 +45,7 @@ class ConllToken:
 class ConllSentence:
     tokens: list[ConllToken]
     language: str = "und"
+    line: int | None = None  # of the first token, when read from text
 
 
 @dataclass(frozen=True)
@@ -60,22 +62,22 @@ def parse_conll(text: str, default_language: str = "und") -> list[ConllSentence]
 
     Columns: ID FORM LEMMA UPOS XPOS FEATS HEAD DEPREL CAUSATION, with
     CAUSATION a BIO tag over Cause/Effect. A ``# lang = xx`` comment sets the
-    sentence language; other comment lines are ignored.
+    sentence language; other comment lines are ignored. Each sentence keeps
+    the line of its first token.
     """
-    sentences: list[ConllSentence] = []
+    return list(_conll_sentences(text, default_language))
+
+
+def _conll_sentences(text: str, default_language: str) -> Iterator[ConllSentence]:
+    """The sentences of ``parse_conll``, each parsed when it is asked for."""
     tokens: list[ConllToken] = []
     language: str | None = None
-
-    def flush():
-        nonlocal tokens, language
-        if tokens:
-            sentences.append(ConllSentence(tokens, language or default_language))
-        tokens = []
-        language = None
-
+    first_line = 0
     for lineno, (_, line) in enumerate(_lines(text), start=1):
         if not line.strip():
-            flush()
+            if tokens:
+                yield ConllSentence(tokens, language or default_language, first_line)
+            tokens, language = [], None
             continue
         if line.lstrip().startswith("#"):
             match = _LANG_RE.match(line.strip())
@@ -104,9 +106,11 @@ def parse_conll(text: str, default_language: str = "und") -> list[ConllSentence]
             if previous not in (f"B-{tag[2:]}", f"I-{tag[2:]}"):
                 raise ConllError(
                     f"{tag} does not continue a {tag[2:]} span", lineno)
+        if not tokens:
+            first_line = lineno
         tokens.append(ConllToken(token_id, *columns[1:9]))
-    flush()
-    return sentences
+    if tokens:
+        yield ConllSentence(tokens, language or default_language, first_line)
 
 
 def causation_spans(sentence: ConllSentence) -> list[Span]:
@@ -156,10 +160,15 @@ def causation_to_graph(sentence: ConllSentence) -> SemanticGraph:
     node so the unexpressed counterpart stays visible. Tokens tagged O are
     not represented.
     """
+    return _add_causation(SemanticGraph(), sentence)
+
+
+def _add_causation(graph: SemanticGraph, sentence: ConllSentence) -> SemanticGraph:
+    """Add ``causation_to_graph``'s nodes into ``graph``, with all of their
+    edges in one batch, and return it."""
     spans = causation_spans(sentence)
     if not spans:
-        raise ConllError("no causation annotation in sentence")
-    graph = SemanticGraph()
+        raise ConllError("no causation annotation in sentence", sentence.line)
     sentence_node = graph.add_concept("Sentence")
     causation_node = graph.add_concept("Causation")
     doc_node = graph.add_concept("LanguageDoc")

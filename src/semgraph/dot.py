@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .model import ConceptNode, EntityNode, InvalidGraphError, SemanticGraph, validate
 
 
@@ -18,24 +20,30 @@ def to_dot(graph: SemanticGraph) -> str:
     indexed roles. Output is deterministic: nodes sorted by id, edges grouped
     under their source in insertion order.
     """
+    return "".join(_dot_parts(graph))
+
+
+def _dot_parts(graph: SemanticGraph) -> Iterator[str]:
+    """``to_dot``'s text, one line per part; the graph is validated before the first."""
     violations = validate(graph)
     if violations:
         raise InvalidGraphError(violations)
-    lines = ["digraph semanticgraph {", "  rankdir=TB;"]
-    edge_lines = []  # after all node statements; only concepts have out-edges
-    for node_id in sorted(graph.nodes):
+    yield "digraph semanticgraph {\n"
+    yield "  rankdir=TB;\n"
+    node_ids = sorted(graph.nodes)
+    for node_id in node_ids:
         node = graph.nodes[node_id]
         if isinstance(node, ConceptNode):
-            lines.append(f'  "{_quote(node_id)}" [shape=box, label="{_quote(node.name)}"];')
-            for edge in graph.out_edges(node_id):
-                edge_lines.append(f'  "{_quote(edge.source)}" -> "{_quote(edge.target)}"'
-                                  f' [label="{_quote(str(edge.label))}"];')
+            yield f'  "{_quote(node_id)}" [shape=box, label="{_quote(node.name)}"];\n'
         elif isinstance(node, EntityNode):
             label = "\n".join([*node.classes, node.value])
-            lines.append(f'  "{_quote(node_id)}" [shape=ellipse, label="{_quote(label)}"];')
+            yield f'  "{_quote(node_id)}" [shape=ellipse, label="{_quote(label)}"];\n'
         else:
-            lines.append(f'  "{_quote(node_id)}" [shape=circle, style=filled,'
-                         ' fillcolor=gray, label=""];')
-    lines.extend(edge_lines)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield (f'  "{_quote(node_id)}" [shape=circle, style=filled,'
+                   ' fillcolor=gray, label=""];\n')
+    # Edges after all node statements; a valid graph's edges leave concepts only.
+    for node_id in node_ids:
+        for edge in graph.out_edges(node_id):
+            yield (f'  "{_quote(edge.source)}" -> "{_quote(edge.target)}"'
+                   f' [label="{_quote(str(edge.label))}"];\n')
+    yield "}\n"

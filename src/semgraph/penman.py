@@ -199,12 +199,15 @@ def _blocks(text: str) -> Iterator[tuple[int, int, list[tuple[int, str]]]]:
 
 def parse_penman_file(text: str) -> list[PenmanTree]:
     """Parse a file of blank-line-separated PENMAN expressions."""
-    trees = []
+    return list(_penman_trees(text))
+
+
+def _penman_trees(text: str) -> Iterator[PenmanTree]:
+    """The expressions of a PENMAN file, each parsed when it is asked for."""
     for start, end, _ in _blocks(text):
         tokens = _tokenize(text, start, end)
         if tokens:  # else a comment-only block
-            trees.append(_parse_tokens(tokens, text, end))
-    return trees
+            yield _parse_tokens(tokens, text, end)
 
 
 _DOC_RELATION_RE = re.compile(r"\(\s*(\S+)\s+(\S+)\s+(\S+)\s*\)\Z")
@@ -247,7 +250,7 @@ def amr_to_graph(tree: PenmanTree) -> SemanticGraph:
     entity, and each slot becomes a role edge; variable references connect to
     the already-created node. No variables survive in the output.
     """
-    return _to_graph([tree], [])
+    return _to_graph(SemanticGraph(), [tree], [])
 
 
 def umr_to_graph(document: UmrDocument) -> SemanticGraph:
@@ -260,10 +263,13 @@ def umr_to_graph(document: UmrDocument) -> SemanticGraph:
     (x, rel, y) -- temporal, modal or coreference -- is added as an x -rel-> y
     edge between the corresponding nodes, never by unifying them.
     """
-    return _to_graph(document.sentences, document.relations)
+    return _to_graph(SemanticGraph(), document.sentences, document.relations)
 
 
-def _to_graph(sentences: list[PenmanTree], relations: list[DocRelation]) -> SemanticGraph:
+def _to_graph(graph: SemanticGraph, sentences: list[PenmanTree],
+              relations: list[DocRelation]) -> SemanticGraph:
+    """Add the sentences and document-level relations into ``graph``, with
+    all of their edges in one batch, and return it."""
     var_defined: set[str] = set()
     for tree in sentences:
         for var in tree.concepts:
@@ -283,7 +289,6 @@ def _to_graph(sentences: list[PenmanTree], relations: list[DocRelation]) -> Sema
         if relation.target not in var_defined and relation.target not in const_tokens:
             raise UmrError(f"document-level target '{relation.target}'"
                            " does not occur in any sentence")
-    graph = SemanticGraph()
     var_node: dict[str, str] = {}
     promoted_node: dict[str, str] = {}
     const_entity: dict[str, str] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Callable
+from typing import Callable, Iterator
 from xml.parsers import expat
 
 from .model import (
@@ -61,39 +61,44 @@ def _escape(value: str) -> str:
 
 def to_xml(graph: SemanticGraph) -> str:
     """Serialize a graph that passes lax validation to its canonical XML form."""
+    return "".join(_xml_parts(graph))
+
+
+def _xml_parts(graph: SemanticGraph) -> Iterator[str]:
+    """``to_xml``'s text in parts; the graph is validated before the first."""
     violations = validate(graph)
     if violations:
         raise InvalidGraphError(violations)
     if not graph.nodes:
-        return '<semanticgraph version="1"/>'
-    parts = ['<semanticgraph version="1">']
+        yield '<semanticgraph version="1"/>'
+        return
+    yield '<semanticgraph version="1">'
     for node_id in sorted(graph.nodes):
         node = graph.nodes[node_id]
         if isinstance(node, ConceptNode):
             edges = graph.out_edges(node_id)
             head = f'<concept id="{_escape(node_id)}" name="{_escape(node.name)}"'
             if not edges:
-                parts.append(head + "/>")
+                yield head + "/>"
                 continue
-            parts.append(head + ">")
+            yield head + ">"
             for edge in edges:
                 index = "" if edge.label.index is None else f' index="{edge.label.index}"'
-                parts.append(f'<role name="{_escape(edge.label.name)}"{index}'
-                             f' target="{_escape(edge.target)}"/>')
-            parts.append("</concept>")
+                yield (f'<role name="{_escape(edge.label.name)}"{index}'
+                       f' target="{_escape(edge.target)}"/>')
+            yield "</concept>"
         elif isinstance(node, EntityNode):
             head = f'<entity id="{_escape(node_id)}" value="{_escape(node.value)}"'
             if not node.classes:
-                parts.append(head + "/>")
+                yield head + "/>"
                 continue
-            parts.append(head + ">")
+            yield head + ">"
             for cls in node.classes:
-                parts.append(f'<class name="{_escape(cls)}"/>')
-            parts.append("</entity>")
+                yield f'<class name="{_escape(cls)}"/>'
+            yield "</entity>"
         else:
-            parts.append(f'<omitted id="{_escape(node_id)}"/>')
-    parts.append("</semanticgraph>")
-    return "".join(parts)
+            yield f'<omitted id="{_escape(node_id)}"/>'
+    yield "</semanticgraph>"
 
 
 def _element(name: str, required: str, optional: str = "", children: str = "",

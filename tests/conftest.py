@@ -2,6 +2,8 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+# The benchmark's generators and output checker, shared with the tests.
+sys.path.insert(1, str(Path(__file__).parent.parent / "bench"))
 
 
 def pytest_runtest_logreport(report):

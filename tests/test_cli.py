@@ -221,6 +221,12 @@ class TestRender:
         assert "ENTITY_OUT_EDGE" in captured.err
         assert captured.out == ""
 
+    def test_invalid_graph_is_refused_before_the_output_is_opened(self, tmp_path, capsys):
+        path = tmp_path / "bad.xml"
+        path.write_text(BAD_GRAPH_XML, encoding="utf-8")
+        assert main(["render", str(path), "-o", str(tmp_path / "missing" / "out.dot")]) == 1
+        assert capsys.readouterr().err.startswith("ENTITY_OUT_EDGE\t")
+
 
 class TestCatalogueCommand:
     def test_list_signatures(self, tmp_path, capsys):
@@ -274,8 +280,11 @@ class TestExitCodeMatrix:
         (["convert", "--from", "conll", "--to", "xml"],
          "1\ta\ta\tX\t_\t_\t0\td\tB-Cause\n2\t\tb\tX\t_\t_\t0\td\tB-Effect\n",
          "empty FORM column (line 2)"),
+        (["convert", "--from", "conll", "--to", "xml"],
+         "1\ta\ta\tX\t_\t_\t0\td\tB-Cause\n\n# lang = it\n1\tb\tb\tX\t_\t_\t0\td\tO\n",
+         "no causation annotation in sentence (line 4)"),
     ], ids=["amr", "umr", "ttl", "conll", "ucca", "ucca-vt", "conll-nel", "validate",
-            "validate-schema", "ttl-empty-literal", "conll-empty-form"])
+            "validate-schema", "ttl-empty-literal", "conll-empty-form", "conll-unannotated"])
     def test_malformed_input_reports_location(self, tmp_path, capsys, command, text, location):
         source = tmp_path / "bad.txt"
         source.write_text(text, encoding="utf-8")
@@ -286,6 +295,26 @@ class TestExitCodeMatrix:
         assert len(lines) == 1
         assert lines[0].startswith("semgraph: error: ")
         assert lines[0].endswith(location)
+
+    @pytest.mark.parametrize("source,text,message", [
+        ("amr", "(a / alpha)\n\n(b / beta :ARG0 (c / gamma))\n\n(d / delta :ARG0 (e epsilon))\n",
+         "expected '/' after variable 'e' (line 5, column 21)"),
+        ("conll", "1\ta\ta\tX\t_\t_\t0\td\tO\n\n1\tb\tb\tX\t_\t_\t0\td\tB-Cause\n\n"
+         "1\tc\tc\tX\t_\t_\t0\td\tB-Nope\n", "unknown causation tag 'B-Nope' (line 5)"),
+    ], ids=["amr", "conll-after-unannotated"])
+    def test_parse_error_after_good_units_wins_and_writes_nothing(self, tmp_path, capsys, source,
+                                                                  text, message):
+        # The CoNLL file's first sentence has no causation annotation, which is
+        # a conversion error; the parse error further on is the one reported.
+        source_path = tmp_path / f"in.{source}"
+        source_path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out.xml"
+        assert main(["convert", "--from", source, "--to", "xml", str(source_path),
+                     "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"semgraph: error: {message}\n"
+        assert [path.name for path in tmp_path.iterdir()] == [source_path.name]
 
     @pytest.mark.parametrize("command,text,message", [
         (["validate"],

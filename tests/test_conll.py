@@ -198,6 +198,16 @@ class TestCausationToGraph:
         with pytest.raises(ConllError) as exc:
             causation_to_graph(sentence)
         assert "no causation annotation" in str(exc.value)
+        assert exc.value.line == 2  # after the "# lang" line
+
+    def test_no_annotation_rejected_at_the_first_token_line(self):
+        text = (_sentence_text([("a", "B-Cause")]) + "\n# note\n"
+                + _sentence_text([("b", "O"), ("c", "O")]))
+        annotated, unannotated = parse_conll(text)
+        assert (annotated.line, unannotated.line) == (2, 6)
+        with pytest.raises(ConllError) as exc:
+            causation_to_graph(unannotated)
+        assert str(exc.value) == "no causation annotation in sentence (line 6)"
 
     def test_span_text_reconstruction(self):
         sentence = parse_conll(RAIN_SENTENCE)[0]
