@@ -7,6 +7,7 @@ conversion error, 3 usage error. Diagnostics go to stderr, data to stdout.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import os
 import sys
@@ -14,6 +15,13 @@ import tempfile
 from typing import Iterator
 
 from . import conll, dot, kg, model, penman, ucca, xmlio
+
+
+def _non_empty(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("must be non-empty")
+    return value
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -32,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     convert.add_argument("--combine", action=argparse.BooleanOptionalAction, default=True,
                          help="combine multi-graph inputs into one graph (default);"
                               " --no-combine writes one numbered file per graph")
-    convert.add_argument("--lang", default="und",
+    convert.add_argument("--lang", default="und", type=_non_empty,
                          help="default language for conll input (default: und)")
     convert.set_defaults(func=_cmd_convert)
 
@@ -110,28 +118,27 @@ _UNIT_READERS = {
 }
 
 
-def _one_graph(units: Iterator, add) -> list[model.SemanticGraph]:
-    """Add each unit into one graph as soon as it is read, so that no unit
-    outlives its turn. The ids and edges are those that ``model.union`` of
-    the per-unit graphs gives; ``[]`` if there was no unit."""
-    graph = model.SemanticGraph()
+def _build(units: Iterator, add, combine: bool) -> list[model.SemanticGraph]:
+    """Add each unit as soon as it is read, so that no unit outlives its
+    turn: into one shared graph when combining, else each into a fresh one.
+    ``[]`` if there was no unit."""
+    graphs: list[model.SemanticGraph] = []
     for unit in units:
+        if not (combine and graphs):
+            graphs.append(model.SemanticGraph())
         try:
-            add(graph, unit)
+            add(graphs[-1], unit)
         except (model.GraphError, model.SourceError):
             for _ in units:  # a parse error further on is the one reported
                 pass
             raise
-    return [graph] if graph.nodes else []  # every unit adds a node
+    return graphs
 
 
 def _convert_units(source: str, text: str, lang: str, combine: bool) -> list[model.SemanticGraph]:
     if source in _UNIT_READERS:
         read, add = _UNIT_READERS[source]
-        if combine:
-            return _one_graph(read(text, lang), add)
-        units = list(read(text, lang))  # a parse error anywhere comes first
-        return [add(model.SemanticGraph(), unit) for unit in units]
+        return _build(read(text, lang), add, combine)
     if source == "umr":
         return [penman.umr_to_graph(penman.parse_umr_document(text))]
     if source == "ttl":
@@ -159,6 +166,10 @@ def _cmd_convert(args) -> int:
     return 0
 
 
+def _violation_line(violation: model.Violation) -> str:
+    return f"{violation.code}\t{violation.subject}\t{violation.message}"
+
+
 def _cmd_validate(args) -> int:
     if args.strict and not args.catalogue:
         print("semgraph: error: --strict requires --catalogue", file=sys.stderr)
@@ -168,7 +179,7 @@ def _cmd_validate(args) -> int:
     mode = "strict" if args.strict else "lax"
     violations = model.validate(graph, catalogue, mode)
     for violation in violations:
-        print(f"{violation.code}\t{violation.subject}\t{violation.message}")
+        print(_violation_line(violation))
     return 1 if violations else 0
 
 
@@ -195,12 +206,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 0
         return 3 if code == 2 else int(code)  # argparse uses 2 for usage errors
+    if isinstance(sys.stdout, io.TextIOWrapper):  # data is UTF-8, as in -o files
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         return args.func(args)
     except model.InvalidGraphError as exc:
         for violation in exc.violations:
-            print(f"{violation.code}\t{violation.subject}\t{violation.message}",
-                  file=sys.stderr)
+            print(_violation_line(violation), file=sys.stderr)
         return 1
     except (model.GraphError, model.SourceError, OSError) as exc:
         print(f"semgraph: error: {exc}", file=sys.stderr)

@@ -93,7 +93,7 @@ class InvalidGraphError(GraphError):
 
 def _check_id(node_id: str) -> None:
     if not _ID_RE.match(node_id):
-        raise ValueError(f"invalid node id {node_id!r}")
+        raise GraphError(f"invalid node id {node_id!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,9 +105,9 @@ class RoleLabel:
 
     def __post_init__(self):
         if not self.name:
-            raise ValueError("role name must be non-empty")
+            raise GraphError("role name must be non-empty")
         if self.index is not None and self.index < 1:
-            raise ValueError("role index must be >= 1")
+            raise GraphError("role index must be >= 1")
 
     def __str__(self) -> str:
         return self.name if self.index is None else f"{self.name}[{self.index}]"
@@ -123,7 +123,7 @@ class ConceptNode:
     def __post_init__(self):
         _check_id(self.id)
         if not self.name:
-            raise ValueError("concept name must be non-empty")
+            raise GraphError("concept name must be non-empty")
 
 
 @dataclass(slots=True)
@@ -137,7 +137,7 @@ class EntityNode:
     def __post_init__(self):
         _check_id(self.id)
         if not self.value:
-            raise ValueError("entity value must be non-empty")
+            raise GraphError("entity value must be non-empty")
 
 
 @dataclass(slots=True)
@@ -185,6 +185,31 @@ def _slot_fault(out: list[Edge]) -> str | None:
     return None
 
 
+def _endpoint_violations(nodes: dict[str, Node], edges: Iterable[Edge]) -> list[Violation]:
+    """The endpoint rule on ``edges``, in their order: a source must be a
+    concept in ``nodes`` and a target must be in ``nodes``."""
+    violations: list[Violation] = []
+    for edge in edges:
+        src = nodes.get(edge.source)
+        if src is None:
+            violations.append(Violation(
+                EDGE_FROM_NON_CONCEPT, edge,
+                f"edge source '{edge.source}' is not a node in the graph"))
+        elif isinstance(src, EntityNode):
+            violations.append(Violation(
+                ENTITY_OUT_EDGE, edge,
+                f"entity '{edge.source}' has an outgoing edge; entities are leaves"))
+        elif isinstance(src, OmittedNode):
+            violations.append(Violation(
+                OMITTED_OUT_EDGE, edge,
+                f"omitted node '{edge.source}' has an outgoing edge"))
+        if edge.target not in nodes:
+            violations.append(Violation(
+                DANGLING_TARGET, edge,
+                f"edge target '{edge.target}' is not a node in the graph"))
+    return violations
+
+
 class SemanticGraph:
     """Directed labelled multigraph of concept, entity and omitted nodes.
 
@@ -200,7 +225,7 @@ class SemanticGraph:
     their sources' edges alone, and ``out_edges`` and the serializers read
     it. It is filled lazily: each read first indexes the edges appended to
     ``edges`` since the last one, so an edge appended to ``edges`` directly
-    (as ``merge``, ``union`` and ``from_xml`` do) is seen too. Edges may only
+    (as ``merge`` and ``from_xml`` do) is seen too. Edges may only
     be appended; removing or replacing edges in ``edges`` is not supported.
     """
 
@@ -265,21 +290,11 @@ class SemanticGraph:
         a missing endpoint or a source that is not a concept, or if a source's
         new edges, with its existing ones of the same role names, break the
         slot rule. Each source's slots are checked once per call."""
+        faults = _endpoint_violations(self.nodes, edges)
+        if faults:
+            raise GraphError(faults[0].message, faults[0].code)
         new: dict[str, list[Edge]] = {}
         for edge in edges:
-            src = self.nodes.get(edge.source)
-            if src is None:
-                raise GraphError(f"edge source '{edge.source}' is not in the graph",
-                                 EDGE_FROM_NON_CONCEPT)
-            if isinstance(src, EntityNode):
-                raise GraphError(
-                    f"entity '{edge.source}' cannot have outgoing edges", ENTITY_OUT_EDGE)
-            if isinstance(src, OmittedNode):
-                raise GraphError(
-                    f"omitted node '{edge.source}' cannot have outgoing edges", OMITTED_OUT_EDGE)
-            if edge.target not in self.nodes:
-                raise GraphError(f"edge target '{edge.target}' is not in the graph",
-                                 DANGLING_TARGET)
             new.setdefault(edge.source, []).append(edge)
         out = self._adjacency()
         for source, batch in new.items():
@@ -391,20 +406,6 @@ def merge(g1: SemanticGraph, g2: SemanticGraph,
     return out
 
 
-def union(graphs: Iterable[SemanticGraph]) -> SemanticGraph:
-    """Disjoint union of any number of graphs, built in one pass.
-
-    No input is mutated. The result is what folding ``merge`` over the graphs
-    with no correspondence gives, in time linear in their total size: the
-    nodes of the first graph, then of the second and so on, renumbered
-    ``n1..nN`` in that order, and the edges in the same order.
-    """
-    out = SemanticGraph()
-    for graph in graphs:
-        _copy_into(out, graph, {})
-    return out
-
-
 @dataclass(frozen=True)
 class RoleSpec:
     """A role declared by a concept definition; indexed roles take 1..k slots."""
@@ -484,26 +485,8 @@ def validate(graph: SemanticGraph, catalogue: ConceptCatalogue | None = None,
         raise ValueError(f"unknown validation mode: {mode!r}")
     if mode == "strict" and catalogue is None:
         raise ValueError("strict validation requires a catalogue")
-    violations: list[Violation] = []
     nodes = graph.nodes
-    for edge in graph.edges:
-        src = nodes.get(edge.source)
-        if src is None:
-            violations.append(Violation(
-                EDGE_FROM_NON_CONCEPT, edge,
-                f"edge source '{edge.source}' is not a node in the graph"))
-        elif isinstance(src, EntityNode):
-            violations.append(Violation(
-                ENTITY_OUT_EDGE, edge,
-                f"entity '{edge.source}' has an outgoing edge; entities are leaves"))
-        elif isinstance(src, OmittedNode):
-            violations.append(Violation(
-                OMITTED_OUT_EDGE, edge,
-                f"omitted node '{edge.source}' has an outgoing edge"))
-        if edge.target not in nodes:
-            violations.append(Violation(
-                DANGLING_TARGET, edge,
-                f"edge target '{edge.target}' is not a node in the graph"))
+    violations = _endpoint_violations(nodes, graph.edges)
     # Each source's slots are checked on its out-edges alone. Only the edges of
     # the sources at fault are keyed below, in ``graph.edges`` order, so that
     # the violations come in that order.

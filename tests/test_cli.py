@@ -302,14 +302,15 @@ class TestExitCodeMatrix:
         ("conll", "1\ta\ta\tX\t_\t_\t0\td\tO\n\n1\tb\tb\tX\t_\t_\t0\td\tB-Cause\n\n"
          "1\tc\tc\tX\t_\t_\t0\td\tB-Nope\n", "unknown causation tag 'B-Nope' (line 5)"),
     ], ids=["amr", "conll-after-unannotated"])
+    @pytest.mark.parametrize("combine", ["--combine", "--no-combine"])
     def test_parse_error_after_good_units_wins_and_writes_nothing(self, tmp_path, capsys, source,
-                                                                  text, message):
+                                                                  text, message, combine):
         # The CoNLL file's first sentence has no causation annotation, which is
         # a conversion error; the parse error further on is the one reported.
         source_path = tmp_path / f"in.{source}"
         source_path.write_text(text, encoding="utf-8")
         out = tmp_path / "out.xml"
-        assert main(["convert", "--from", source, "--to", "xml", str(source_path),
+        assert main(["convert", "--from", source, "--to", "xml", combine, str(source_path),
                      "-o", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -364,6 +365,11 @@ class TestExitCodeMatrix:
     def test_bad_choice_is_usage_error(self, tmp_path):
         assert main(["convert", "--from", "tex", "--to", "xml", str(tmp_path)]) == 3
 
+    def test_empty_lang_is_usage_error_before_reading(self, tmp_path, capsys):
+        assert main(["convert", "--from", "conll", "--to", "xml", "--lang", "",
+                     str(tmp_path / "nosuch.conll")]) == 3
+        assert "argument --lang: must be non-empty" in capsys.readouterr().err
+
     def test_empty_conll_input_is_data_error(self, tmp_path):
         source = tmp_path / "empty.conll"
         source.write_text("", encoding="utf-8")
@@ -376,6 +382,49 @@ class TestExitCodeMatrix:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "semgraph: error:" in captured.err
+
+
+def run_ascii(args: list[str], cwd) -> subprocess.CompletedProcess:
+    """``semgraph args`` in a child process whose stdio encoding is ASCII, with
+    bytes for stdout and stderr."""
+    return subprocess.run([sys.executable, "-m", "semgraph", *args], cwd=cwd,
+                          capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                               "PYTHONIOENCODING": "ascii"})
+
+
+class TestUtf8Stdout:
+    """Data on stdout is UTF-8 whatever the locale's encoding, as in -o files."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "in.amr").write_text("(a / café :ARG0 (b / naïve))\n", encoding="utf-8")
+        (tmp_path / "g.xml").write_text(
+            '<semanticgraph version="1"><concept id="a" name="café"/></semanticgraph>\n',
+            encoding="utf-8")
+        (tmp_path / "c.xml").write_text(
+            '<catalogue version="1"><concept name="thé"/></catalogue>\n', encoding="utf-8")
+        return tmp_path
+
+    def test_convert_writes_the_bytes_of_the_output_file(self, files):
+        done = run_ascii(["convert", "--from", "amr", "--to", "xml", "in.amr"], files)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert run_ascii(["convert", "--from", "amr", "--to", "xml", "in.amr", "-o", "out.xml"],
+                         files).returncode == 0
+        assert done.stdout == (files / "out.xml").read_bytes()
+        assert 'name="café"' in done.stdout.decode("utf-8")
+
+    @pytest.mark.parametrize("args,code,line", [
+        (["render", "g.xml"], 0, '  "a" [shape=box, label="café"];'),
+        (["validate", "--strict", "--catalogue", "c.xml", "g.xml"], 1,
+         "UNKNOWN_CONCEPT\ta\tconcept 'café' is not defined in the catalogue"),
+        (["catalogue", "list", "c.xml"], 0, "thé()"),
+    ], ids=["render", "validate-strict", "catalogue-list"])
+    def test_names_reach_stdout_as_utf8(self, files, args, code, line):
+        done = run_ascii(args, files)
+        assert done.returncode == code
+        assert done.stderr == b""  # no traceback
+        assert line in done.stdout.decode("utf-8").splitlines()
 
 
 DEPTH = 20_000

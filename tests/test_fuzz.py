@@ -6,11 +6,13 @@ its own ``SourceError`` subclass, which carries a location, never with a
 ``GraphError``; a frontend's graphs must be lax-valid, with no role of a node
 filled both unindexed and indexed. The CLI may exit 0 or 2, or 1 with the
 violations printed, and never lets an exception escape.
-The CLI is also fed seed files with bytes that are not UTF-8.
+The CLI is also fed seed files with bytes that are not UTF-8, and seed
+files with one field emptied, a fault the random edits do not reach.
 """
 
 import contextlib
 import io
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,3 +165,34 @@ def test_mutated_bytes_fail_cleanly(fmt, tmp_path):
             assert code == 2 and "is not valid UTF-8 (line " in err.getvalue()
 
     check()
+
+
+# format -> a pattern whose group 1 is a field that may not be empty: a
+# PENMAN concept, a Turtle literal, a CoNLL FORM, a UCCA term text, an XML
+# attribute.
+FIELDS = {
+    "amr": r"/ ([^\s()]+)",
+    "umr": r"/ ([^\s()]+)",
+    "ttl": r'"([^"]*)"',
+    "conll": r"^\d+\t([^\t]*)",
+    "ucca": r"^term \S+ (.*)$",
+    "xml": r'(?:id|name|value|target|index)="([^"]*)"',
+}
+
+
+@pytest.mark.parametrize("fmt,start,end", [
+    (fmt, match.start(1), match.end(1))
+    for fmt, pattern in FIELDS.items()
+    for match in re.finditer(pattern, SEEDS[fmt], re.M)])
+def test_emptied_field_is_a_located_error(fmt, start, end, tmp_path):
+    seed = SEEDS[fmt]
+    path = tmp_path / "input"
+    path.write_text(seed[:start] + seed[end:], encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*READERS[fmt][2], str(path)])
+    assert (code, out.getvalue()) == (2, "")
+    [line] = err.getvalue().splitlines()
+    assert line.startswith("semgraph: error: ")
+    lineno = seed.count("\n", 0, start) + 1
+    assert re.search(rf"\(line {lineno}(, column \d+)?\)$", line), line

@@ -11,9 +11,9 @@ a per-role location list kept by the reader, or a table entry per edge in
 ``semgraph convert --to xml -o`` of a 200-sentence file peaked at 288-324
 bytes per output element for AMR and 306-334 for CoNLL on Python 3.10 to
 3.13, where each unit is added into one graph as it is read and the XML is
-written in parts. Keeping every parse tree and per-sentence graph for
-``model.union``, and joining the XML text before writing it, measured 471-519
-and 564-667.
+written in parts. Keeping every parse tree and per-sentence graph for one
+disjoint union at the end, and joining the XML text before writing it,
+measured 471-519 and 564-667.
 """
 
 import gc

@@ -1,4 +1,3 @@
-import functools
 import os
 import random
 import subprocess
@@ -29,7 +28,6 @@ from semgraph.model import (
     RoleSpec,
     SemanticGraph,
     merge,
-    union,
     validate,
 )
 from semgraph.dot import to_dot
@@ -173,6 +171,34 @@ class TestAddEdge:
         with pytest.raises(ValueError):
             RoleLabel("r", 0)
         assert str(RoleLabel("r", 2)) == "r[2]"
+
+    @pytest.mark.parametrize("build", [
+        lambda: RoleLabel(""),
+        lambda: RoleLabel("r", 0),
+        lambda: ConceptNode("a", ""),
+        lambda: ConceptNode("a b", "X"),
+        lambda: EntityNode("e", ""),
+        lambda: OmittedNode(""),
+    ], ids=["role-name", "role-index", "concept-name", "concept-id", "entity-value",
+            "omitted-id"])
+    def test_record_faults_are_graph_errors(self, build):
+        with pytest.raises(GraphError):
+            build()
+
+    @pytest.mark.parametrize("source,target", [
+        ("n2", "n1"), ("n3", "n1"), ("n1", "ghost"), ("ghost", "n1"), ("n2", "ghost"),
+    ], ids=["entity", "omitted", "dangling", "no-source", "entity-and-dangling"])
+    def test_endpoint_fault_matches_validate(self, source, target):
+        g = SemanticGraph()
+        g.add_concept("X")
+        g.add_entity("4")
+        g.add_omitted()
+        with pytest.raises(GraphError) as exc:
+            g.add_edge(source, "r", target)
+        assert g.edges == []
+        g.edges.append(Edge(source, RoleLabel("r"), target))
+        first = validate(g)[0]
+        assert (exc.value.code, str(exc.value)) == (first.code, first.message)
 
 
 class TestValidate:
@@ -466,27 +492,6 @@ class TestMerge:
         assert (g1.nodes, g1.edges) == before
 
 
-class TestUnion:
-    @pytest.mark.parametrize("count", [1, 2, 40])
-    def test_same_bytes_as_folding_merge(self, count):
-        graphs = corpus(20261018 + count, count)
-        folded = functools.reduce(merge, graphs)
-        combined = union(graphs)
-        assert to_xml(combined) == to_xml(folded)
-        assert [str(e) for e in combined.edges] == [str(e) for e in folded.edges]
-        assert list(combined.nodes) == [f"n{i}" for i in range(1, len(combined.nodes) + 1)]
-
-    def test_inputs_not_mutated(self):
-        graphs = corpus(5, 3)
-        before = [structure_key(g) for g in graphs]
-        union(graphs)
-        assert [structure_key(g) for g in graphs] == before
-
-    def test_empty_list_gives_empty_graph(self):
-        combined = union([])
-        assert not combined.nodes and not combined.edges
-
-
 def _filled_slots_graph() -> SemanticGraph:
     g = SemanticGraph()
     a = g.add_concept("A")
@@ -502,9 +507,8 @@ class TestAdjacencyCoherence:
 
     @pytest.mark.parametrize("build", [
         lambda: merge(SemanticGraph(), _filled_slots_graph()),
-        lambda: union([SemanticGraph(), _filled_slots_graph()]),
         lambda: from_xml(to_xml(_filled_slots_graph())),
-    ], ids=["merge", "union", "from_xml"])
+    ], ids=["merge", "from_xml"])
     @pytest.mark.parametrize("label,code", [
         (RoleLabel("r"), DUPLICATE_ROLE_SLOT),
         (RoleLabel("s", 2), DUPLICATE_ROLE_SLOT),
