@@ -7,6 +7,8 @@ conversion error, 3 usage error. Diagnostics go to stderr, data to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import io
 import itertools
 import os
@@ -23,6 +25,7 @@ def _non_empty(value: str) -> str:
     return value
 
 
+@functools.cache  # one per process, built at the first main(): a parser is a cycle
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semgraph",
@@ -208,6 +211,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3 if code == 2 else int(code)  # argparse uses 2 for usage errors
     if isinstance(sys.stdout, io.TextIOWrapper):  # data is UTF-8, as in -o files
         sys.stdout.reconfigure(encoding="utf-8")
+    # A command leaves no cyclic garbage, so the collector's passes over the
+    # growing graph would find nothing; it is paused, then left as it was.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except model.InvalidGraphError as exc:
@@ -217,6 +224,9 @@ def main(argv: list[str] | None = None) -> int:
     except (model.GraphError, model.SourceError, OSError) as exc:
         print(f"semgraph: error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -43,11 +43,15 @@ def parse_ucca(text: str) -> UccaPassage:
     <category>`` / ``root <id>`` records and validate the passage shape:
     terminals have no children, every non-root node has a parent, and the
     root is a declared unit. Blank lines and ``#`` comments are skipped.
+    A shape error is located at the record at fault: the root record, the
+    orphan node's record, or the last line when there is no root record.
     """
     nodes: dict[str, UccaNode] = {}
+    node_lines: list[int] = []  # of each node's record, in declaration order
     edges: list[UccaEdge] = []
     edge_lines: list[int] = []
     root: str | None = None
+    root_line = 0
     for lineno, (_, raw) in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -60,6 +64,7 @@ def parse_ucca(text: str) -> UccaPassage:
             if fields[1] in nodes:
                 raise UccaError(f"duplicate node id '{fields[1]}'", lineno)
             nodes[fields[1]] = UccaNode(fields[1], UNIT)
+            node_lines.append(lineno)
         elif record == "term":
             parts = line.split(maxsplit=2)
             if len(parts) != 3:
@@ -67,6 +72,7 @@ def parse_ucca(text: str) -> UccaPassage:
             if parts[1] in nodes:
                 raise UccaError(f"duplicate node id '{parts[1]}'", lineno)
             nodes[parts[1]] = UccaNode(parts[1], TERMINAL, parts[2])
+            node_lines.append(lineno)
         elif record == "edge":
             if len(fields) != 4:
                 raise UccaError("edge record needs parent, child and category", lineno)
@@ -77,15 +83,15 @@ def parse_ucca(text: str) -> UccaPassage:
                 raise UccaError("root record needs exactly one id", lineno)
             if root is not None:
                 raise UccaError("duplicate root declaration", lineno)
-            root = fields[1]
+            root, root_line = fields[1], lineno
         else:
             raise UccaError(f"unknown record type '{record}'", lineno)
     if root is None:
-        raise UccaError("missing root declaration")
+        raise UccaError("missing root declaration", lineno)  # the last line
     if root not in nodes:
-        raise UccaError(f"root '{root}' is not a declared node")
+        raise UccaError(f"root '{root}' is not a declared node", root_line)
     if nodes[root].kind != UNIT:
-        raise UccaError(f"root '{root}' must be a unit")
+        raise UccaError(f"root '{root}' must be a unit", root_line)
     has_parent = set()
     for edge, lineno in zip(edges, edge_lines):
         if edge.parent not in nodes:
@@ -95,9 +101,9 @@ def parse_ucca(text: str) -> UccaPassage:
         if nodes[edge.parent].kind == TERMINAL:
             raise UccaError(f"terminal '{edge.parent}' cannot have children", lineno)
         has_parent.add(edge.child)
-    for node_id in nodes:
+    for node_id, lineno in zip(nodes, node_lines):
         if node_id != root and node_id not in has_parent:
-            raise UccaError(f"node '{node_id}' has no parent and is not the root")
+            raise UccaError(f"node '{node_id}' has no parent and is not the root", lineno)
     return UccaPassage(nodes, edges, root)
 
 

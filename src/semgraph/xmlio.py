@@ -206,6 +206,10 @@ def _read(text: str, grammar: dict[str, tuple], root: str,
         if exc.reason != _DOCTYPE:
             _parse(expat.ParserCreate(namespace_separator="}"), text)
         raise
+    finally:
+        # on_start refers to the parser, so the two would be a cycle that
+        # keeps the whole graph alive until the collector finds it.
+        parser.StartElementHandler = None
 
 
 def _role_label(name: str, index_text: str | None, source: str,
@@ -292,6 +296,7 @@ def _role_start(text: str, k: int) -> tuple[int, int]:
 
     parser.StartElementHandler = on_start
     _parse(parser, text)
+    parser.StartElementHandler = None  # a cycle otherwise, as in _read
     return where
 
 

@@ -268,6 +268,8 @@ class TestExitCodeMatrix:
          "unit u0\nroot u0\nunit u0\n", "(line 3)"),
         (["convert", "--from", "ucca", "--to", "xml"],
          "# passage\vnote\nunit u0\nroot u0\nunit u0\n", "(line 4)"),
+        (["convert", "--from", "ucca", "--to", "xml"],
+         "root u0\nunit u0\nunit u1\n", "node 'u1' has no parent and is not the root (line 3)"),
         (["convert", "--from", "conll", "--to", "xml"],
          "# a\x85b\n1\ta\ta\tX\t_\t_\t0\td\tB-Cause\n2\tb\tb\tX\t_\t_\t0\td\tB-Nope\n",
          "(line 3)"),
@@ -283,8 +285,9 @@ class TestExitCodeMatrix:
         (["convert", "--from", "conll", "--to", "xml"],
          "1\ta\ta\tX\t_\t_\t0\td\tB-Cause\n\n# lang = it\n1\tb\tb\tX\t_\t_\t0\td\tO\n",
          "no causation annotation in sentence (line 4)"),
-    ], ids=["amr", "umr", "ttl", "conll", "ucca", "ucca-vt", "conll-nel", "validate",
-            "validate-schema", "ttl-empty-literal", "conll-empty-form", "conll-unannotated"])
+    ], ids=["amr", "umr", "ttl", "conll", "ucca", "ucca-vt", "ucca-orphan", "conll-nel",
+            "validate", "validate-schema", "ttl-empty-literal", "conll-empty-form",
+            "conll-unannotated"])
     def test_malformed_input_reports_location(self, tmp_path, capsys, command, text, location):
         source = tmp_path / "bad.txt"
         source.write_text(text, encoding="utf-8")

@@ -31,11 +31,6 @@ class TestParseUcca:
         passage = parse_ucca(GOLF)
         assert passage.nodes["t3"].text == "a passion"
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(UccaError) as exc:
-            parse_ucca("")
-        assert "missing root" in str(exc.value)
-
     def test_terminal_with_children_rejected(self):
         text = "root u1\nunit u1\nterm t1 x\nterm t2 y\nedge u1 t1 A\nedge t1 t2 E\n"
         with pytest.raises(UccaError) as exc:
@@ -52,15 +47,22 @@ class TestParseUcca:
             parse_ucca("root u1\nunit u1\nedge u1 zz A\n")
         assert "zz" in str(exc.value)
 
-    def test_orphan_node_rejected(self):
+    @pytest.mark.parametrize("text,reason,line", [
+        ("", "missing root declaration", 1),
+        ("unit u1\n", "missing root declaration", 2),  # where the text ends
+        ("# passage\nunit u1\nterm t1 x\nedge u1 t1 A", "missing root declaration", 4),
+        ("unit u1\n\nroot u9\n# end\n", "root 'u9' is not a declared node", 3),
+        ("root t1\nterm t1 Golf\n", "root 't1' must be a unit", 1),
+        ("term t1 Golf\nroot t1\n", "root 't1' must be a unit", 2),
+        ("root u1\nunit u1\nunit u2\n", "node 'u2' has no parent and is not the root", 3),
+        ("root u1\nunit u1\nterm t1 x\nterm t2 y\n# t2\nedge u1 t1 A\n",
+         "node 't2' has no parent and is not the root", 4),
+    ], ids=["empty", "missing-root", "missing-root-no-final-newline", "undeclared-root",
+            "terminal-root", "terminal-root-after-term", "orphan", "orphan-terminal"])
+    def test_shape_errors_are_rejected_and_located(self, text, reason, line):
         with pytest.raises(UccaError) as exc:
-            parse_ucca("root u1\nunit u1\nunit u2\n")
-        assert "no parent" in str(exc.value)
-
-    def test_terminal_root_rejected(self):
-        with pytest.raises(UccaError) as exc:
-            parse_ucca("root t1\nterm t1 Golf\n")
-        assert "must be a unit" in str(exc.value)
+            parse_ucca(text)
+        assert (exc.value.reason, exc.value.line, exc.value.column) == (reason, line, None)
 
     def test_duplicate_root_rejected(self):
         with pytest.raises(UccaError):
