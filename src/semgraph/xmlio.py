@@ -4,7 +4,9 @@ Writing is byte-deterministic: nodes are sorted by id (byte order), a
 concept's role elements keep edge insertion order, and attribute layout is
 fixed. Reading accepts any well-formed layout of the same element grammar.
 It is one pass of expat: the nodes, role edges and catalogue entries are
-built in its start-tag handler, and no element tree is kept.
+built in its start-tag handler, and no element tree is kept. Nor is any
+location: an error takes its (line, column) from the parser as it is raised,
+or from a second parse if the fault is stray text or an unresolved target.
 """
 
 from __future__ import annotations
@@ -103,10 +105,12 @@ def _xml_parts(graph: SemanticGraph) -> Iterator[str]:
 
 def _element(name: str, required: str, optional: str = "", children: str = "",
              inside: str = "") -> tuple[str, tuple]:
-    # -> name, (required attributes, allowed attributes, allowed children, how
-    # the "unexpected element ... inside" message names the element)
-    return name, (frozenset(required.split()), frozenset(f"{required} {optional}".split()),
-                  frozenset(children.split()), inside or f"'{name}'")
+    # -> name, (allowed children, number of required attributes, the optional
+    # attribute or None, required attributes, how the "unexpected element ...
+    # inside" message names the element)
+    names = tuple(required.split())
+    return name, (frozenset(children.split()), len(names), optional or None, names,
+                  inside or f"'{name}'")
 
 
 # ``role`` is also allowed under ``entity`` and ``omitted``, so that graphs
@@ -131,6 +135,17 @@ def _tag(name: str) -> str:
     return "{" + name if "}" in name else name
 
 
+def _attribute_fault(name: str, attributes: dict, entry: tuple) -> str:
+    """Why ``attributes`` do not fit element ``name``: the first unknown
+    attribute, by its ElementTree name, or else the first missing one."""
+    _, _, optional, required, _ = entry
+    present = attributes.keys()
+    unknown = min(map(_tag, present - {*required, optional}), default=None)
+    if unknown:
+        return f"unknown attribute '{unknown}' on element '{name}'"
+    return f"missing attribute '{min(set(required) - present)}' on element '{name}'"
+
+
 def _parse(parser, text: str) -> None:
     # Fed in slices: expat reads UTF-8, and a str that is not ASCII keeps the
     # UTF-8 copy made of it for as long as it lives.
@@ -149,10 +164,15 @@ def _parse(parser, text: str) -> None:
 
 
 def _read(text: str, grammar: dict[str, tuple], root: str,
-          start: Callable[[str, dict, tuple[int, int]], None]) -> None:
+          start: Callable[[str, dict], None]) -> None:
     """Parse ``text`` in one expat pass, checking the element grammar and the
-    root's version, and call ``start(name, attributes, (line, column))`` at
-    each start tag below the root.
+    root's version, and call ``start(name, attributes)`` at each start tag
+    below the root.
+
+    ``start`` reads every required attribute of the element before any check
+    of its own: an element whose attribute count is right but whose names are
+    not fails there with a ``KeyError``. It raises ``XmlSchemaError`` with no
+    location; the reader adds that of the start tag.
 
     A DOCTYPE stops the parse where it starts. Any other schema fault is
     reported only if the whole text is well-formed, so malformed markup
@@ -160,72 +180,108 @@ def _read(text: str, grammar: dict[str, tuple], root: str,
     """
     parser = expat.ParserCreate(namespace_separator="}")
     parser.buffer_text = True
-    open_elements: list[tuple] = []  # name, allowed children and start tag of each
+    open_elements: list[str] = []
+
+    def fault(reason):
+        return XmlSchemaError(reason, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
+
+    def on_root(name, attributes):
+        if name != root:
+            raise fault(f"unexpected root element '{_tag(name)}', expected '{root}'")
+        if attributes.keys() != {"version"}:
+            raise fault(_attribute_fault(name, attributes, grammar[name]))
+        if attributes["version"] != "1":
+            raise fault(f"unsupported {root} version '{attributes['version']}'")
+        open_elements.append(name)
+        parser.StartElementHandler = on_start
 
     def on_start(name, attributes):
-        where = (parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
-        if open_elements:
-            parent, children, _ = open_elements[-1]
-            if name not in children:
-                raise XmlSchemaError(
-                    f"unexpected element '{_tag(name)}' inside {grammar[parent][3]}"
-                    if children else f"element '{parent}' may not have children", *where)
-        elif name != root:
-            raise XmlSchemaError(
-                f"unexpected root element '{_tag(name)}', expected '{root}'", *where)
-        required, allowed, children, _ = grammar[name]
-        present = attributes.keys()
-        if not (present >= required and present <= allowed):
-            unknown = min(map(_tag, present - allowed), default=None)
-            raise XmlSchemaError(
-                f"unknown attribute '{unknown}' on element '{name}'" if unknown else
-                f"missing attribute '{min(required - present)}' on element '{name}'", *where)
-        open_elements.append((name, children, where))
-        if len(open_elements) > 1:
-            start(name, attributes, where)
-        elif attributes["version"] != "1":
-            raise XmlSchemaError(
-                f"unsupported {root} version '{attributes['version']}'", *where)
+        parent = open_elements[-1]
+        children = grammar[parent][0]
+        if name not in children:
+            raise fault(f"unexpected element '{_tag(name)}' inside {grammar[parent][4]}"
+                        if children else f"element '{parent}' may not have children")
+        _, count, optional, _, _ = entry = grammar[name]
+        if len(attributes) != count + (optional in attributes):
+            raise fault(_attribute_fault(name, attributes, entry))
+        open_elements.append(name)
+        try:
+            start(name, attributes)
+        except KeyError:
+            raise fault(_attribute_fault(name, attributes, entry)) from None
+        except XmlSchemaError as exc:
+            raise fault(exc.reason) from None
 
     def on_text(data):
         if data.strip():
-            name, _, where = open_elements[-1]
-            raise XmlSchemaError(f"unexpected text content in element '{name}'", *where)
+            raise XmlSchemaError(f"unexpected text content in element '{open_elements[-1]}'")
 
     def on_doctype(*_):
         # Its internal subset could declare entities that expand to any text.
         raise XmlSchemaError(_DOCTYPE, *line_col(text, _PROLOG_RE.match(text).end()))
 
-    parser.StartElementHandler = on_start
+    parser.StartElementHandler = on_root
     parser.EndElementHandler = lambda name: open_elements.pop()
     parser.CharacterDataHandler = on_text
     parser.StartDoctypeDeclHandler = on_doctype
     try:
         _parse(parser, text)
     except XmlSchemaError as exc:
-        if exc.reason != _DOCTYPE:
-            _parse(expat.ParserCreate(namespace_separator="}"), text)
+        if exc.reason == _DOCTYPE:
+            raise
+        if exc.line is None:  # stray text; _start_tag also raises XmlSyntaxError
+            raise XmlSchemaError(exc.reason, *_start_tag(text)) from None
+        _parse(expat.ParserCreate(namespace_separator="}"), text)
         raise
     finally:
-        # on_start refers to the parser, so the two would be a cycle that
-        # keeps the whole graph alive until the collector finds it.
+        # on_root and on_start refer to the parser, so either would make a
+        # cycle that keeps the whole graph alive until the collector finds it.
         parser.StartElementHandler = None
 
 
-def _role_label(name: str, index_text: str | None, source: str,
-                where: tuple[int, int]) -> RoleLabel:
+def _start_tag(text: str, k: int | None = None) -> tuple[int, int]:
+    """The (line, column) of the start tag of the ``k``-th (0-based) ``role``
+    element of ``text`` or, with no ``k``, of the element that holds the first
+    text that is not white space. It is found by a second parse, so that
+    reading keeps no location; malformed text raises ``XmlSyntaxError``.
+
+    ``edges[k]`` of ``from_xml`` starts at the ``k``-th role start tag: edges
+    are appended in document order."""
+    parser = expat.ParserCreate(namespace_separator="}")
+    open_tags: list[tuple[int, int]] = []
+    roles = itertools.count()
+    found = []
+
+    def on_start(name, _):
+        open_tags.append((parser.CurrentLineNumber, parser.CurrentColumnNumber + 1))
+        if name == "role" and next(roles) == k:
+            found.append(open_tags[-1])
+
+    def on_text(data):
+        if k is None and data.strip():
+            found.append(open_tags[-1])
+
+    parser.StartElementHandler = on_start
+    parser.EndElementHandler = lambda _: open_tags.pop()
+    parser.CharacterDataHandler = on_text
+    try:
+        _parse(parser, text)
+    finally:
+        parser.StartElementHandler = None  # a cycle otherwise, as in _read
+    return found[0]
+
+
+def _role_label(name: str, index_text: str | None, source: str) -> RoleLabel:
     if not name:
-        raise XmlSchemaError(f"empty role name on a role of '{source}'", *where)
+        raise XmlSchemaError(f"empty role name on a role of '{source}'")
     if index_text is None:
         return RoleLabel(name)
     if not _INDEX_RE.match(index_text):
-        raise XmlSchemaError(
-            f"role index must be a positive integer, got {index_text!r}", *where)
+        raise XmlSchemaError(f"role index must be a positive integer, got {index_text!r}")
     try:
         return RoleLabel(name, int(index_text))
     except ValueError:  # more digits than int() converts
-        raise XmlSchemaError(
-            f"role index has too many digits ({len(index_text)})", *where) from None
+        raise XmlSchemaError(f"role index has too many digits ({len(index_text)})") from None
 
 
 def from_xml(text: str) -> SemanticGraph:
@@ -242,32 +298,36 @@ def from_xml(text: str) -> SemanticGraph:
     labels: dict[tuple[str, str | None], RoleLabel] = {}  # one per (name, index text)
     source = ""  # id of the node element the parser is in
 
-    def start(name, attributes, where):
+    def start(name, attributes):
         nonlocal source
         if name == "role":
             key = (attributes["name"], attributes.get("index"))
+            target = attributes["target"]
             label = labels.get(key)
             if label is None:
-                label = labels[key] = _role_label(*key, source, where)
-            edges.append(Edge(source, label, attributes["target"]))
+                label = labels[key] = _role_label(*key, source)
+            edges.append(Edge(source, label, target))
         elif name == "class":
-            if not attributes["name"]:
-                raise XmlSchemaError(f"empty class name on entity '{source}'", *where)
-            nodes[source].classes.append(attributes["name"])
+            cls = attributes["name"]
+            if not cls:
+                raise XmlSchemaError(f"empty class name on entity '{source}'")
+            nodes[source].classes.append(cls)
         else:
             node_id = attributes["id"]
+            value = (attributes["name"] if name == "concept" else
+                     attributes["value"] if name == "entity" else None)
             if not _ID_RE.match(node_id):
-                raise XmlSchemaError(f"invalid node id {node_id!r} on element '{name}'", *where)
+                raise XmlSchemaError(f"invalid node id {node_id!r} on element '{name}'")
             if node_id in nodes:
-                raise XmlSchemaError(f"duplicate node id '{node_id}'", *where)
+                raise XmlSchemaError(f"duplicate node id '{node_id}'")
             if name == "concept":
-                if not attributes["name"]:
-                    raise XmlSchemaError(f"empty concept name on node '{node_id}'", *where)
-                nodes[node_id] = ConceptNode(node_id, attributes["name"])
+                if not value:
+                    raise XmlSchemaError(f"empty concept name on node '{node_id}'")
+                nodes[node_id] = ConceptNode(node_id, value)
             elif name == "entity":
-                if not attributes["value"]:
-                    raise XmlSchemaError(f"empty entity value on node '{node_id}'", *where)
-                nodes[node_id] = EntityNode(node_id, attributes["value"])
+                if not value:
+                    raise XmlSchemaError(f"empty entity value on node '{node_id}'")
+                nodes[node_id] = EntityNode(node_id, value)
             else:
                 nodes[node_id] = OmittedNode(node_id)
             source = node_id
@@ -276,28 +336,8 @@ def from_xml(text: str) -> SemanticGraph:
     for k, edge in enumerate(edges):
         if edge.target not in nodes:
             raise XmlSchemaError(f"role target references unknown id '{edge.target}'",
-                                 *_role_start(text, k))
+                                 *_start_tag(text, k))
     return graph
-
-
-def _role_start(text: str, k: int) -> tuple[int, int]:
-    """The (line, column) of the ``k``-th (0-based) ``role`` start tag of a
-    graph document that ``_read`` has accepted, which is where ``edges[k]`` of
-    ``from_xml`` starts: edges are appended in document order. It is found by
-    a second parse, so that reading keeps no location per role."""
-    parser = expat.ParserCreate(namespace_separator="}")
-    roles = itertools.count()
-    where = None
-
-    def on_start(name, _):
-        nonlocal where
-        if name == "role" and next(roles) == k:
-            where = (parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
-
-    parser.StartElementHandler = on_start
-    _parse(parser, text)
-    parser.StartElementHandler = None  # a cycle otherwise, as in _read
-    return where
 
 
 def catalogue_to_xml(catalogue: ConceptCatalogue) -> str:
@@ -330,28 +370,27 @@ def catalogue_from_xml(text: str) -> ConceptCatalogue:
     definition = None  # of the concept element the parser is in
     role_names: set[str] = set()  # of that concept
 
-    def start(name, attributes, where):
+    def start(name, attributes):
         nonlocal definition
         if name == "concept":
             concept = attributes["name"]
             if not concept:
-                raise XmlSchemaError("empty concept name in catalogue", *where)
+                raise XmlSchemaError("empty concept name in catalogue")
             if concept in catalogue:
-                raise XmlSchemaError(f"duplicate concept '{concept}' in catalogue", *where)
+                raise XmlSchemaError(f"duplicate concept '{concept}' in catalogue")
             definition = ConceptDefinition(concept)
             catalogue.define(definition)
             role_names.clear()
             return
         role = attributes["name"]
         if not role:
-            raise XmlSchemaError(f"empty role name in concept '{definition.name}'", *where)
+            raise XmlSchemaError(f"empty role name in concept '{definition.name}'")
         if role in role_names:
-            raise XmlSchemaError(
-                f"role '{role}' declared twice in concept '{definition.name}'", *where)
+            raise XmlSchemaError(f"role '{role}' declared twice in concept '{definition.name}'")
         role_names.add(role)
         indexed = attributes.get("indexed", "false")
         if indexed not in ("true", "false"):
-            raise XmlSchemaError(f"indexed must be 'true' or 'false', got {indexed!r}", *where)
+            raise XmlSchemaError(f"indexed must be 'true' or 'false', got {indexed!r}")
         definition.roles.append(RoleSpec(role, indexed == "true"))
 
     _read(text, _CATALOGUE, "catalogue", start)

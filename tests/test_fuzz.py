@@ -6,8 +6,9 @@ its own ``SourceError`` subclass, which carries a location, never with a
 ``GraphError``; a frontend's graphs must be lax-valid, with no role of a node
 filled both unindexed and indexed. The CLI may exit 0 or 2, or 1 with the
 violations printed, and never lets an exception escape.
-The CLI is also fed seed files with bytes that are not UTF-8, and seed
-files with one field emptied, a fault the random edits do not reach.
+The CLI is also fed seed files with bytes that are not UTF-8, seed files
+with one field emptied, and the XML seed with one attribute dropped or
+renamed: faults the random edits do not reach.
 """
 
 import contextlib
@@ -196,3 +197,36 @@ def test_emptied_field_is_a_located_error(fmt, start, end, tmp_path):
     assert line.startswith("semgraph: error: ")
     lineno = seed.count("\n", 0, start) + 1
     assert re.search(rf"\(line {lineno}(, column \d+)?\)$", line), line
+
+
+def _xml_attribute_edits():
+    """Each attribute of the XML seed dropped, and each renamed to a name the
+    grammar does not know, with the error the edit must give. Dropping
+    ``index`` is left out: it is optional, so the role stays readable."""
+    seed = SEEDS["xml"]
+    for match in re.finditer(r' (\w+)="[^"]*"', seed):
+        element = re.match(r"<(\w+)", seed[seed.rfind("<", 0, match.start()):]).group(1)
+        attribute = match.group(1)
+        where = f"{element}.{attribute}@{match.start()}"
+        if attribute != "index":
+            yield pytest.param(seed[:match.start()] + seed[match.end():], match.start(),
+                               f"missing attribute '{attribute}' on element '{element}'",
+                               id=f"drop-{where}")
+        yield pytest.param(seed[:match.start(1)] + "x" + seed[match.start(1):], match.start(),
+                           f"unknown attribute 'x{attribute}' on element '{element}'",
+                           id=f"rename-{where}")
+
+
+@pytest.mark.parametrize("text,at,reason", list(_xml_attribute_edits()))
+def test_dropped_or_renamed_xml_attribute_is_a_located_error(text, at, reason, tmp_path):
+    path = tmp_path / "input.xml"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", str(path)])
+    assert (code, out.getvalue()) == (2, "")
+    [line] = err.getvalue().splitlines()
+    start = text.rfind("<", 0, at)  # of the element's start tag
+    column = start - text.rfind("\n", 0, start)
+    lineno = text.count("\n", 0, start) + 1
+    assert line == f"semgraph: error: {reason} (line {lineno}, column {column})"

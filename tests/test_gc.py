@@ -32,6 +32,9 @@ INPUTS = {
     "dangling.xml": '<semanticgraph version="1">\n<concept id="a" name="X">\n'
                     '<role name="r" target="zz"/></concept></semanticgraph>',
     "malformed.xml": '<semanticgraph version="1"><concept id="a"',
+    "stray.xml": '<semanticgraph version="1">\n<concept id="a" name="X">x</concept>'
+                 '</semanticgraph>',
+    "stray-malformed.xml": '<semanticgraph version="1"><concept id="a" name="X">x</concept><x',
     "orphan.ucca": "root u1\nunit u1\nunit u2\n",
     "cat.xml": catalogue_to_xml(causation_catalogue()),
 }
@@ -114,8 +117,11 @@ def test_an_escaping_exception_restores_the_collector(inputs, monkeypatch, enabl
     (from_xml, "bad.xml"),
     (from_xml, "dangling.xml"),
     (from_xml, "malformed.xml"),
+    (from_xml, "stray.xml"),
+    (from_xml, "stray-malformed.xml"),
     (catalogue_from_xml, "cat.xml"),
-], ids=["graph", "invalid-graph", "dangling-target", "malformed", "catalogue"])
+], ids=["graph", "invalid-graph", "dangling-target", "malformed", "stray-text",
+        "stray-text-then-malformed", "catalogue"])
 def test_a_read_document_is_freed_by_reference_counting(read, name):
     text = INPUTS[name]
 

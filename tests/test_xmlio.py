@@ -375,6 +375,28 @@ class TestPinnedReading:
         assert _schema_reason(read, template.format("")) == (
             f"missing attribute '{required}' on element '{element}'")
 
+    # A misspelt attribute name leaves the attribute count right: one unknown
+    # and one missing. The unknown one is still reported before any check of
+    # the element's values, ids or targets.
+    @pytest.mark.parametrize("read,document,reason", [
+        (from_xml, _graph('<concept id="a" name="X"/><concept id="a" nme="Y"/>'),
+         "unknown attribute 'nme' on element 'concept'"),
+        (from_xml, _graph('<concept id="a" name="X"/><entity id="a" vale="v"/>'),
+         "unknown attribute 'vale' on element 'entity'"),
+        (from_xml, _graph('<concept id="b c" nme="Y"/>'),
+         "unknown attribute 'nme' on element 'concept'"),
+        (from_xml, _graph('<concept id="a" name="X"><role name="" trget="a"/></concept>'),
+         "unknown attribute 'trget' on element 'role'"),
+        (from_xml, _graph('<concept id="a" name="X"><role name="r" index="0" trget="a"/>'
+                          '</concept>'), "unknown attribute 'trget' on element 'role'"),
+        (catalogue_from_xml,
+         _catalogue('<concept name="A"><role nme="r" indexed="maybe"/></concept>'),
+         "unknown attribute 'nme' on element 'role'"),
+    ], ids=["duplicate-concept", "duplicate-entity", "bad-id", "empty-role-name", "bad-index",
+            "catalogue-indexed"])
+    def test_misspelt_attribute_wins_over_value_checks(self, read, document, reason):
+        assert _schema_reason(read, document) == reason
+
     # (reader, document with "{}" where text goes, element holding the text)
     TEXT_CASES = [
         (from_xml, _graph("{}"), "semanticgraph"),
@@ -583,6 +605,27 @@ class TestSchemaErrorLocations:
         with pytest.raises(XmlSchemaError) as exc:
             from_xml(_graph(body))
         assert exc.value.reason == f"role target references unknown id '{target}'"
+        assert (exc.value.line, exc.value.column) == location
+
+    # Stray text is located at the start tag of the element that holds it,
+    # which a second parse finds: the reader keeps no location per element.
+    @pytest.mark.parametrize("read,document,element,location", [
+        (from_xml, _graph('\n<concept id="a" name="X">\n  <role name="r" target="a"/>\n'
+                          '  <role name="s" target="a"/>\n  <role name="t" target="a">x</role>\n'
+                          '</concept>'), "role", (5, 3)),
+        (from_xml, _graph('\n<entity id="e" value="v">\n  <class name="k"/>\n</entity>\n'
+                          '  <concept id="a" name="X"><role name="r" target="e"/>\n'
+                          '  junk</concept>'), "concept", (5, 3)),
+        (catalogue_from_xml, _catalogue('\n<concept name="A">\n  <role name="r"/>\n'
+                                        '    <role name="s">x</role>\n</concept>'),
+         "role", (4, 5)),
+    ], ids=["role-after-siblings", "after-a-child", "catalogue-role"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_stray_text_at_the_start_tag_that_holds_it(self, read, document, element, location,
+                                                       newline):
+        with pytest.raises(XmlSchemaError) as exc:
+            read(document.replace("\n", newline))
+        assert exc.value.reason == f"unexpected text content in element '{element}'"
         assert (exc.value.line, exc.value.column) == location
 
     @pytest.mark.parametrize("document", ['\n<graph version="1"/>',
