@@ -104,111 +104,6 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _TurtleParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.store = TripleStore()
-
-    def _peek(self) -> _Token | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def _next(self, expectation: str) -> _Token:
-        token = self._peek()
-        if token is None:
-            _fail(self.text, len(self.text), f"unexpected end of input, expected {expectation}")
-        self.pos += 1
-        return token
-
-    def _expect(self, kind: str, expectation: str) -> _Token:
-        token = self._next(expectation)
-        if token.kind != kind:
-            _fail(self.text, token.offset, f"expected {expectation}, got {token.value!r}")
-        return token
-
-    def _resource(self, token: _Token) -> Term:
-        if token.kind == "iri":
-            return Term(RESOURCE, token.value)
-        if token.kind == "word":
-            if token.value.startswith("_:"):
-                _fail(self.text, token.offset, "unsupported construct: blank node labels")
-            if ":" not in token.value:
-                _fail(self.text, token.offset,
-                      f"{token.value!r} is not a prefixed name or IRI")
-            prefix = token.value.split(":", 1)[0]
-            if prefix not in self.store.prefixes:
-                _fail(self.text, token.offset, f"unknown prefix '{prefix}:'")
-            return Term(RESOURCE, token.value)
-        _fail(self.text, token.offset, f"expected a resource, got {token.value!r}")
-
-    def _object(self) -> Term:
-        token = self._next("an object")
-        if token.kind == "string":
-            if not token.value:
-                _fail(self.text, token.offset, "empty string literal")
-            nxt = self._peek()
-            if nxt is not None and nxt.kind == "at" and nxt.value != "@prefix":
-                self.pos += 1
-                return Term(LITERAL, token.value, lang=nxt.value[1:])
-            if nxt is not None and nxt.kind == "dtype":
-                self.pos += 1
-                datatype = self._resource(self._next("a datatype"))
-                return Term(LITERAL, token.value, datatype=datatype.text)
-            return Term(LITERAL, token.value)
-        return self._resource(token)
-
-    def _verb(self) -> Term:
-        token = self._next("a predicate")
-        if token.kind == "word" and token.value == "a":
-            return Term(RESOURCE, TYPE_PRED)
-        return self._resource(token)
-
-    def _prefix_directive(self):
-        name = self._next("a prefix name")
-        if name.kind != "word" or not name.value.endswith(":") or name.value.count(":") != 1:
-            _fail(self.text, name.offset, "expected a prefix name like 'ex:'")
-        iri = self._expect("iri", "an IRI")
-        self._expect("dot", "'.'")
-        self.store.prefixes[name.value[:-1]] = iri.value
-
-    def _triples_block(self):
-        subject = self._resource(self._next("a subject"))
-        while True:
-            predicate = self._verb()
-            while True:
-                obj = self._object()
-                self.store.triples.append((subject, predicate, obj))
-                token = self._next("',', ';' or '.'")
-                if token.kind == "comma":
-                    continue
-                break
-            if token.kind == "semi":
-                nxt = self._peek()
-                if nxt is not None and nxt.kind == "dot":  # trailing ';' before '.'
-                    self.pos += 1
-                    return
-                continue
-            if token.kind == "dot":
-                return
-            _fail(self.text, token.offset, f"expected ',', ';' or '.', got {token.value!r}")
-
-    def parse(self) -> TripleStore:
-        while True:
-            token = self._peek()
-            if token is None:
-                return self.store
-            if token.kind == "at":
-                if token.value != "@prefix":
-                    _fail(self.text, token.offset, f"unknown directive '{token.value}'")
-                self.pos += 1
-                self._prefix_directive()
-            else:
-                self._triples_block()
-
-
 def parse_turtle(text: str) -> TripleStore:
     """Parse the supported Turtle subset into a prefix map plus ordered triples.
 
@@ -219,7 +114,87 @@ def parse_turtle(text: str) -> TripleStore:
     triple-quoted strings raise an "unsupported construct" error.
     Prefixed names are kept as written, not expanded.
     """
-    return _TurtleParser(text).parse()
+    tokens = _tokenize(text)
+    store = TripleStore()
+    pos = 0
+
+    def take(expectation: str, kind: str | None = None) -> _Token:
+        nonlocal pos
+        if pos == len(tokens):
+            _fail(text, len(text), f"unexpected end of input, expected {expectation}")
+        token = tokens[pos]
+        if kind is not None and token.kind != kind:
+            _fail(text, token.offset, f"expected {expectation}, got {token.value!r}")
+        pos += 1
+        return token
+
+    def next_is(kind: str) -> bool:
+        nonlocal pos
+        if pos < len(tokens) and tokens[pos].kind == kind:
+            pos += 1
+            return True
+        return False
+
+    def resource(token: _Token) -> Term:
+        if token.kind == "iri":
+            return Term(RESOURCE, token.value)
+        if token.kind != "word":
+            _fail(text, token.offset, f"expected a resource, got {token.value!r}")
+        if token.value.startswith("_:"):
+            _fail(text, token.offset, "unsupported construct: blank node labels")
+        if ":" not in token.value:
+            _fail(text, token.offset, f"{token.value!r} is not a prefixed name or IRI")
+        prefix = token.value.split(":", 1)[0]
+        if prefix not in store.prefixes:
+            _fail(text, token.offset, f"unknown prefix '{prefix}:'")
+        return Term(RESOURCE, token.value)
+
+    # Each pass reads one object, first reading the subject or verb it lacks:
+    # `subject` is None between statements, `predicate` between ';' entries.
+    subject = predicate = None
+    while subject is not None or pos < len(tokens):
+        if subject is None:
+            token = take("a subject")
+            if token.kind == "at":
+                if token.value != "@prefix":
+                    _fail(text, token.offset, f"unknown directive '{token.value}'")
+                name = take("a prefix name")
+                if (name.kind != "word" or not name.value.endswith(":")
+                        or name.value.count(":") != 1):
+                    _fail(text, name.offset, "expected a prefix name like 'ex:'")
+                store.prefixes[name.value[:-1]] = take("an IRI", "iri").value
+                take("'.'", "dot")
+                continue
+            subject = resource(token)
+        if predicate is None:
+            verb = take("a predicate")
+            predicate = (Term(RESOURCE, TYPE_PRED) if verb.kind == "word" and verb.value == "a"
+                         else resource(verb))
+        token = take("an object")
+        if token.kind != "string":
+            obj = resource(token)
+        elif not token.value:
+            _fail(text, token.offset, "empty string literal")
+        elif pos < len(tokens) and tokens[pos].kind == "at" and tokens[pos].value != "@prefix":
+            obj = Term(LITERAL, token.value, lang=tokens[pos].value[1:])
+            pos += 1
+        elif next_is("dtype"):
+            obj = Term(LITERAL, token.value, datatype=resource(take("a datatype")).text)
+        else:
+            obj = Term(LITERAL, token.value)
+        store.triples.append((subject, predicate, obj))
+        separator = take("',', ';' or '.'")
+        if separator.kind == "semi":
+            predicate = None
+            while next_is("semi"):  # an empty ';' entry
+                pass
+            if next_is("dot"):  # a trailing ';' before '.'
+                subject = None
+        elif separator.kind == "dot":
+            subject = predicate = None
+        elif separator.kind != "comma":
+            _fail(text, separator.offset, f"expected ',', ';' or '.', got {separator.value!r}")
+    return store
 
 
 def _leaf_edge(graph: SemanticGraph, pred_node: str, obj: Term) -> tuple[str, RoleLabel, str]:

@@ -1,6 +1,7 @@
 import functools
 import os
 import re
+import resource
 import subprocess
 import sys
 
@@ -435,10 +436,26 @@ DEPTH = 20_000
 DEEP_AMR = "".join(f"(a{i} / x :r " for i in range(DEPTH)) + f"(a{DEPTH} / x" + ")" * (DEPTH + 1)
 
 
+def run_capped(args: list[str], cwd) -> subprocess.CompletedProcess:
+    """``semgraph args`` in a child process whose address space is capped at
+    1 GiB, so that a reader that recurses or copies per level fails instead of
+    filling RAM."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run([sys.executable, "-m", "semgraph", *args], cwd=cwd, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+BIG_LITERAL = "x" * 2_000_000
+BIG_CONSTANT = "7" * 200_000
+NESTING = 100_000
+
+
 class TestOversizedInput:
-    """Inputs far past the fuzz's size, converted in a child process whose
-    address space is capped at 1 GiB, so that a reader that recurses or
-    copies per level fails instead of filling RAM."""
+    """Inputs far past the fuzz's size, read in a child process with capped
+    memory."""
 
     @pytest.mark.parametrize("fmt,text,concepts", [
         ("amr", DEEP_AMR + "\n", DEPTH + 1),
@@ -447,16 +464,23 @@ class TestOversizedInput:
          + "".join(f"edge u{i} u{i + 1} H\n" for i in range(DEPTH - 1)) + "root u0\n", DEPTH),
     ], ids=["amr-deep", "umr-deep", "ucca-chain"])
     def test_converts_in_capped_memory(self, tmp_path, fmt, text, concepts):
-        source = tmp_path / f"big.{fmt}"
-        source.write_text(text, encoding="utf-8")
-        script = ("import resource, sys\n"
-                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-                  "from semgraph.cli import main\n"
-                  "sys.exit(main(sys.argv[1:]))\n")
-        done = subprocess.run(
-            [sys.executable, "-c", script, "convert", "--from", fmt, "--to", "xml", str(source)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        (tmp_path / f"big.{fmt}").write_text(text, encoding="utf-8")
+        done = run_capped(["convert", "--from", fmt, "--to", "xml", f"big.{fmt}"], tmp_path)
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
         assert done.stdout.count("<concept ") == concepts
+
+    @pytest.mark.parametrize("name,text,args,code,out,err", [
+        ("big.ttl", TTL + f'wd:Q1 rdfs:label "{BIG_LITERAL}" .\n',
+         ["convert", "--from", "ttl", "--to", "xml"], 0, BIG_LITERAL, ""),
+        ("big.amr", f"(n / number :value {BIG_CONSTANT})\n",
+         ["convert", "--from", "amr", "--to", "xml"], 0, BIG_CONSTANT, ""),
+        ("deep.xml", '<semanticgraph version="1">' + '<concept id="a" name="X">' * NESTING
+         + "</concept>" * NESTING + "</semanticgraph>\n", ["validate"], 2, "",
+         "semgraph: error: unexpected element 'concept' inside 'concept' (line 1, column 53)\n"),
+    ], ids=["ttl-2mb-literal", "amr-200k-digit-constant", "xml-100k-deep"])
+    def test_oversized_field_or_nesting(self, tmp_path, name, text, args, code, out, err):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        done = run_capped([*args, name], tmp_path)
+        assert (done.returncode, done.stderr) == (code, err)
+        assert out in done.stdout

@@ -7,8 +7,8 @@ its own ``SourceError`` subclass, which carries a location, never with a
 filled both unindexed and indexed. The CLI may exit 0 or 2, or 1 with the
 violations printed, and never lets an exception escape.
 The CLI is also fed seed files with bytes that are not UTF-8, seed files
-with one field emptied, and the XML seed with one attribute dropped or
-renamed: faults the random edits do not reach.
+with one field emptied or dropped, and the XML seed with one attribute
+dropped or renamed: faults the random edits do not reach.
 """
 
 import contextlib
@@ -181,9 +181,23 @@ FIELDS = {
 }
 
 
+# format -> a pattern whose group 1 is a field that may not be left out,
+# with the white space in front of it on its line: a PENMAN "/ concept", a
+# Turtle object or prefix IRI, a CoNLL LEMMA, a UCCA term text or edge
+# category.
+DROPPED = {
+    "amr": r"( / [^\s()]+)",
+    "umr": r"( / [^\s()]+)",
+    "ttl": r"( \S+)(?= [;,.]\s)",
+    "conll": r"^\d+\t[^\t\n]*(\t[^\t\n]*)",
+    "ucca": r"^(?:term|edge \S+) \S+( .+)$",
+}
+
+
 @pytest.mark.parametrize("fmt,start,end", [
     (fmt, match.start(1), match.end(1))
-    for fmt, pattern in FIELDS.items()
+    for fields in (FIELDS, DROPPED)
+    for fmt, pattern in fields.items()
     for match in re.finditer(pattern, SEEDS[fmt], re.M)])
 def test_emptied_field_is_a_located_error(fmt, start, end, tmp_path):
     seed = SEEDS[fmt]

@@ -36,6 +36,8 @@ wd:Q3 a sem:Event ;
     sem:subEventOf wd:Q1073320 .
 """
 
+EX = "@prefix ex: <http://example.org/> .\n"
+
 # A character between a predicate and its object, and the error it gives.
 STRAY_REASONS = {
     ">": "unexpected character '>'",
@@ -142,12 +144,45 @@ class TestParseTurtle:
         ("@9prefix ex: <http://x> .", "malformed '@' token", (1, 1)),
         ("ex:a ex:p ex:b..", "unexpected '.'", (1, 16)),
         ("# c\n\tex:a ex:p\v", "unexpected character '\\x0b'", (2, 11)),
+        ("@base <http://x/> .", "unknown directive '@base'", (1, 1)),
+        ("@prefix ex <http://x/> .", "expected a prefix name like 'ex:'", (1, 9)),
+        ("@prefix ex: ex:a .", "expected an IRI, got 'ex:a'", (1, 13)),
+        ("@prefix ex: <http://x/> ex:a", "expected '.', got 'ex:a'", (1, 25)),
+        ("@prefix", "unexpected end of input, expected a prefix name", (1, 8)),
+        ("@prefix ex:", "unexpected end of input, expected an IRI", (1, 12)),
+        ("@prefix ex: <http://x/>", "unexpected end of input, expected '.'", (1, 24)),
+        (EX + "ex:s", "unexpected end of input, expected a predicate", (2, 5)),
+        (EX + "ex:s ex:p", "unexpected end of input, expected an object", (2, 10)),
+        (EX + 'ex:s ex:p "x"^^', "unexpected end of input, expected a datatype", (2, 16)),
+        (EX + "ex:s ex:p ex:o", "unexpected end of input, expected ',', ';' or '.'", (2, 15)),
+        (EX + "ex:s ex:p ex:o ;", "unexpected end of input, expected a predicate", (2, 17)),
+        (EX + "ex:s ex:p , .", "expected a resource, got ','", (2, 11)),
+        (EX + '"s" ex:p ex:o .', "expected a resource, got 's'", (2, 1)),
+        (EX + 'ex:s ex:p "x"^^"y" .', "expected a resource, got 'y'", (2, 16)),
+        (EX + "ex:s ; ex:p ex:o .", "expected a resource, got ';'", (2, 6)),
+        (EX + "ex:s ex:p true .", "'true' is not a prefixed name or IRI", (2, 11)),
+        (EX + "a ex:p ex:o .", "'a' is not a prefixed name or IRI", (2, 1)),
+        (EX + "_:b ex:p ex:o .", "unsupported construct: blank node labels", (2, 1)),
+        (EX + "ex:s zz:p ex:o .", "unknown prefix 'zz:'", (2, 6)),
+        (EX + "ex:s ex:p ex:o ex:q .", "expected ',', ';' or '.', got 'ex:q'", (2, 16)),
+        (EX + 'ex:s ex:p "x"@prefix ex: <http://y/> .',
+         "expected ',', ';' or '.', got '@prefix'", (2, 14)),
     ])
-    def test_lexer_error_reason_and_location(self, text, reason, location):
+    def test_error_reason_and_location(self, text, reason, location):
         with pytest.raises(TurtleError) as exc:
             parse_turtle(text)
         assert exc.value.reason == reason
         assert (exc.value.line, exc.value.column) == location
+
+    @pytest.mark.parametrize("statement,objects", [
+        ("ex:s ex:p ex:o ; .", ["ex:o"]),
+        ("ex:s ex:p ex:o ; ; .", ["ex:o"]),
+        ("ex:s ex:p ex:o ;; ex:q ex:r .", ["ex:o", "ex:r"]),
+        ("ex:s ex:p ex:o ; ;\n ex:q ex:r ; ; ex:t ex:u ;; .", ["ex:o", "ex:r", "ex:u"]),
+    ])
+    def test_empty_semicolon_entries_are_skipped(self, statement, objects):
+        store = parse_turtle(EX + statement)
+        assert [(s.text, o.text) for s, _, o in store.triples] == [("ex:s", o) for o in objects]
 
     def test_iri_may_span_a_newline(self):
         store = parse_turtle("<http://a/\ns> <http://a/p> <http://a/o> .\n")
