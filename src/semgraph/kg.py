@@ -35,13 +35,6 @@ class TripleStore:
     triples: list[tuple[Term, Term, Term]] = field(default_factory=list)
 
 
-@dataclass
-class _Token:
-    kind: str  # "word", "iri", "string", "at", "dtype", "dot", "semi", "comma"
-    value: str
-    offset: int
-
-
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
@@ -57,6 +50,12 @@ _TOKEN_RE = re.compile(r'''[ \t\r\n]*(?:
   | \#[^\n]* | \Z
   | (?P<error>"""|<>|[^ \t\r\n])
 )''', re.VERBOSE | re.DOTALL)
+
+# Turtle's numeric literals (INTEGER, DECIMAL, DOUBLE) and boolean literals,
+# which the subset leaves out. A word never ends with ".": the lexer splits
+# trailing dots off.
+_NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_BOOLEANS = ("true", "false")
 
 _ERRORS = {
     '"""': "unsupported construct: triple-quoted strings",
@@ -81,8 +80,10 @@ def _unescape(match: re.Match) -> str:
     return _ESCAPES.get(match[1], match[1])
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, value, offset) tokens of ``text``; kind is "word", "iri",
+    "string", "at", "dtype", "dot", "semi" or "comma"."""
+    tokens: list[tuple[str, str, int]] = []
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
         if kind is None:  # a comment, or the end of the text
@@ -92,7 +93,7 @@ def _tokenize(text: str) -> list[_Token]:
             word = value.rstrip(".")
             if len(value) - len(word) > 1:
                 _fail(text, offset + len(word) + 1, "unexpected '.'")
-            tokens.append(_Token("word", word, offset))
+            tokens.append(("word", word, offset))
             kind, value, offset = "dot", ".", offset + len(word)
         elif kind == "string":
             value = _ESCAPE_RE.sub(_unescape, value[1:-1])
@@ -100,7 +101,7 @@ def _tokenize(text: str) -> list[_Token]:
             value = value[1:-1]
         elif kind == "error":
             _fail(text, offset, _ERRORS.get(value) or f"unexpected character {value!r}")
-        tokens.append(_Token(kind, value, offset))
+        tokens.append((kind, value, offset))
     return tokens
 
 
@@ -118,36 +119,37 @@ def parse_turtle(text: str) -> TripleStore:
     store = TripleStore()
     pos = 0
 
-    def take(expectation: str, kind: str | None = None) -> _Token:
+    def take(expectation: str, kind: str | None = None) -> tuple[str, str, int]:
         nonlocal pos
         if pos == len(tokens):
             _fail(text, len(text), f"unexpected end of input, expected {expectation}")
         token = tokens[pos]
-        if kind is not None and token.kind != kind:
-            _fail(text, token.offset, f"expected {expectation}, got {token.value!r}")
+        if kind is not None and token[0] != kind:
+            _fail(text, token[2], f"expected {expectation}, got {token[1]!r}")
         pos += 1
         return token
 
     def next_is(kind: str) -> bool:
         nonlocal pos
-        if pos < len(tokens) and tokens[pos].kind == kind:
+        if pos < len(tokens) and tokens[pos][0] == kind:
             pos += 1
             return True
         return False
 
-    def resource(token: _Token) -> Term:
-        if token.kind == "iri":
-            return Term(RESOURCE, token.value)
-        if token.kind != "word":
-            _fail(text, token.offset, f"expected a resource, got {token.value!r}")
-        if token.value.startswith("_:"):
-            _fail(text, token.offset, "unsupported construct: blank node labels")
-        if ":" not in token.value:
-            _fail(text, token.offset, f"{token.value!r} is not a prefixed name or IRI")
-        prefix = token.value.split(":", 1)[0]
+    def resource(token: tuple[str, str, int]) -> Term:
+        kind, value, offset = token
+        if kind == "iri":
+            return Term(RESOURCE, value)
+        if kind != "word":
+            _fail(text, offset, f"expected a resource, got {value!r}")
+        if value.startswith("_:"):
+            _fail(text, offset, "unsupported construct: blank node labels")
+        if ":" not in value:
+            _fail(text, offset, f"{value!r} is not a prefixed name or IRI")
+        prefix = value.split(":", 1)[0]
         if prefix not in store.prefixes:
-            _fail(text, token.offset, f"unknown prefix '{prefix}:'")
-        return Term(RESOURCE, token.value)
+            _fail(text, offset, f"unknown prefix '{prefix}:'")
+        return Term(RESOURCE, value)
 
     # Each pass reads one object, first reading the subject or verb it lacks:
     # `subject` is None between statements, `predicate` between ';' entries.
@@ -155,45 +157,49 @@ def parse_turtle(text: str) -> TripleStore:
     while subject is not None or pos < len(tokens):
         if subject is None:
             token = take("a subject")
-            if token.kind == "at":
-                if token.value != "@prefix":
-                    _fail(text, token.offset, f"unknown directive '{token.value}'")
-                name = take("a prefix name")
-                if (name.kind != "word" or not name.value.endswith(":")
-                        or name.value.count(":") != 1):
-                    _fail(text, name.offset, "expected a prefix name like 'ex:'")
-                store.prefixes[name.value[:-1]] = take("an IRI", "iri").value
+            if token[0] == "at":
+                if token[1] != "@prefix":
+                    _fail(text, token[2], f"unknown directive '{token[1]}'")
+                kind, name, offset = take("a prefix name")
+                if kind != "word" or not name.endswith(":") or name.count(":") != 1:
+                    _fail(text, offset, "expected a prefix name like 'ex:'")
+                store.prefixes[name[:-1]] = take("an IRI", "iri")[1]
                 take("'.'", "dot")
                 continue
             subject = resource(token)
         if predicate is None:
             verb = take("a predicate")
-            predicate = (Term(RESOURCE, TYPE_PRED) if verb.kind == "word" and verb.value == "a"
+            predicate = (Term(RESOURCE, TYPE_PRED) if verb[0] == "word" and verb[1] == "a"
                          else resource(verb))
-        token = take("an object")
-        if token.kind != "string":
+        kind, value, offset = token = take("an object")
+        if kind == "word" and ":" not in value:
+            if value in _BOOLEANS:
+                _fail(text, offset, "unsupported construct: boolean literals")
+            if _NUMBER_RE.fullmatch(value):
+                _fail(text, offset, "unsupported construct: numeric literals")
+        if kind != "string":
             obj = resource(token)
-        elif not token.value:
-            _fail(text, token.offset, "empty string literal")
-        elif pos < len(tokens) and tokens[pos].kind == "at" and tokens[pos].value != "@prefix":
-            obj = Term(LITERAL, token.value, lang=tokens[pos].value[1:])
+        elif not value:
+            _fail(text, offset, "empty string literal")
+        elif pos < len(tokens) and tokens[pos][0] == "at" and tokens[pos][1] != "@prefix":
+            obj = Term(LITERAL, value, lang=tokens[pos][1][1:])
             pos += 1
         elif next_is("dtype"):
-            obj = Term(LITERAL, token.value, datatype=resource(take("a datatype")).text)
+            obj = Term(LITERAL, value, datatype=resource(take("a datatype")).text)
         else:
-            obj = Term(LITERAL, token.value)
+            obj = Term(LITERAL, value)
         store.triples.append((subject, predicate, obj))
-        separator = take("',', ';' or '.'")
-        if separator.kind == "semi":
+        kind, value, offset = take("',', ';' or '.'")
+        if kind == "semi":
             predicate = None
             while next_is("semi"):  # an empty ';' entry
                 pass
             if next_is("dot"):  # a trailing ';' before '.'
                 subject = None
-        elif separator.kind == "dot":
+        elif kind == "dot":
             subject = predicate = None
-        elif separator.kind != "comma":
-            _fail(text, separator.offset, f"expected ',', ';' or '.', got {separator.value!r}")
+        elif kind != "comma":
+            _fail(text, offset, f"expected ',', ';' or '.', got {value!r}")
     return store
 
 

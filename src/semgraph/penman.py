@@ -60,53 +60,48 @@ class UmrDocument:
     relations: list[DocRelation]
 
 
-@dataclass
-class _Token:
-    kind: str  # "(", ")", "/", "role", "string", "token"
-    value: str
-    offset: int
-
-
-# A whole "#" comment line is one token, skipped, so that a quote inside it
-# opens no string; a "#word" after other text on its line stays a token. The
-# last alternative catches a quote that opens no complete string.
-_TOKEN_RE = re.compile(r'(?P<comment>^[^\S\n]*#.*)|"(?:[^"\\]|\\.)*"|[()/]|[^\s()/"]+|"',
-                       re.MULTILINE)
+# One match per token, with the white space in front of it; the token's kind
+# is the name of its group, and its offset is where group 1 ends. A whole "#"
+# comment line is one match, skipped, so that a quote inside it opens no
+# string; a "#word" after other text on its line stays a token. Every
+# non-blank character starts some alternative after `(\s*)`, at worst the
+# catch-all `error`, and `\Z` ends the range, so no match backtracks into
+# the white space in front of it. Alignment markers (`~e.1`, alone or as a
+# suffix) match outside every named group.
+_TOKEN_RE = re.compile(r'''(?:^|\s*\n)[^\S\n]*\#.*|(\s*)(?:
+    (?P<token>[^\s()/":~][^\s()/"~]*)[^\s()/"]*
+  | (?P<open>\() | (?P<close>\)) | (?P<slash>/)
+  | :(?P<role>[^\s()/"~]+)[^\s()/"]*
+  | "(?P<string>[^"\\]*(?:\\.[^"\\]*)*)"
+  | ~[^\s()/"]* | \Z
+  | (?P<error>[":])
+)''', re.MULTILINE | re.VERBOSE)
 _UNESCAPE_RE = re.compile(r"\\(.)")
+_ERRORS = {'"': "unexpected character '\"'", ":": "role token ':' has no name"}
 
 
-def _tokenize(text: str, start: int, end: int) -> list[_Token]:
-    """Tokens of ``text[start:end]``, with offsets into the whole ``text``."""
-    tokens: list[_Token] = []
+def _tokenize(text: str, start: int, end: int) -> list[tuple[str, str, int]]:
+    """The (kind, value, offset) tokens of ``text[start:end]``, with offsets
+    into the whole ``text``; kind is "token", "open", "close", "slash",
+    "role" (value without its colon) or "string" (value unquoted)."""
+    tokens: list[tuple[str, str, int]] = []
     for match in _TOKEN_RE.finditer(text, start, end):
-        if match.lastgroup == "comment":
+        kind = match.lastgroup
+        if kind is None:  # a comment line, an alignment marker or the end
             continue
-        at = match.start()
-        value = match.group(0)
-        if value == '"':
-            raise PenmanError("unexpected character '\"'", text, at)
-        if value.startswith('"'):
-            inner = _UNESCAPE_RE.sub(r"\1", value[1:-1])
-            if not inner:
-                raise PenmanError("empty string constant", text, at)
-            tokens.append(_Token("string", inner, at))
-        elif value in "()/":
-            tokens.append(_Token(value, value, at))
-        elif value.startswith(":"):
-            name = value[1:].split("~", 1)[0]
-            if not name:
-                raise PenmanError("role token ':' has no name", text, at)
-            tokens.append(_Token("role", name, at))
-        elif value.startswith("~"):
-            continue  # alignment marker, ignored
-        else:
-            bare = value.split("~", 1)[0]
-            if bare:
-                tokens.append(_Token("token", bare, at))
+        value = match[kind]
+        if kind == "string":
+            if not value:
+                raise PenmanError("empty string constant", text, match.end(1))
+            if "\\" in value:
+                value = _UNESCAPE_RE.sub(r"\1", value)
+        elif kind == "error":
+            raise PenmanError(_ERRORS[value], text, match.end(1))
+        tokens.append((kind, value, match.end(1)))
     return tokens
 
 
-def _parse_tokens(tokens: list[_Token], text: str, end: int) -> PenmanTree:
+def _parse_tokens(tokens: list[tuple[str, str, int]], text: str, end: int) -> PenmanTree:
     """Parse one expression in one loop; ``open_vars`` holds the variables of
     the open nodes, innermost last."""
     concepts: dict[str, str] = {}
@@ -114,13 +109,13 @@ def _parse_tokens(tokens: list[_Token], text: str, end: int) -> PenmanTree:
     open_vars: list[str] = []
     pos = 0
 
-    def take(kind: str, reason: str) -> _Token:
+    def take(kind: str, reason: str) -> tuple[str, str, int]:
         nonlocal pos
         if pos == len(tokens):
             raise PenmanError("unexpected end of input", text, end)
         token = tokens[pos]
-        if token.kind != kind:
-            raise PenmanError(reason, text, token.offset)
+        if token[0] != kind:
+            raise PenmanError(reason, text, token[2])
         pos += 1
         return token
 
@@ -129,41 +124,41 @@ def _parse_tokens(tokens: list[_Token], text: str, end: int) -> PenmanTree:
     top = child = Slot("", "", NODE, "")
     while child is not None or open_vars:
         if child is not None:
-            take("(", "expected '('")
-            var_token = take("token", "expected a variable name")
-            var = var_token.value
-            take("/", f"expected '/' after variable '{var}'")
-            concept = take("token", "expected a concept label").value
+            take("open", "expected '('")
+            _, var, var_at = take("token", "expected a variable name")
+            take("slash", f"expected '/' after variable '{var}'")
+            concept = take("token", "expected a concept label")[1]
             if var in concepts:
-                raise PenmanError(f"variable '{var}' defined twice", text, var_token.offset)
+                raise PenmanError(f"variable '{var}' defined twice", text, var_at)
             concepts[var] = concept
             child.value = var
             child = None
             open_vars.append(var)
         if pos == len(tokens):
             raise PenmanError("unbalanced parentheses: missing ')'", text, end)
-        token = tokens[pos]
+        kind, role, at = tokens[pos]
         pos += 1
-        if token.kind == ")":
+        if kind == "close":
             open_vars.pop()
             continue
-        if token.kind != "role":
-            raise PenmanError("expected a role or ')'", text, token.offset)
-        value = tokens[pos] if pos < len(tokens) else None
-        if value is None or value.kind in ("role", ")"):
-            raise PenmanError(f"role ':{token.value}' has no value", text,
-                              value.offset if value is not None else end)
-        if value.kind == "(":
-            child = Slot(open_vars[-1], token.value, NODE, "")
+        if kind != "role":
+            raise PenmanError("expected a role or ')'", text, at)
+        if pos == len(tokens):
+            raise PenmanError(f"role ':{role}' has no value", text, end)
+        kind, value, at = tokens[pos]
+        if kind == "role" or kind == "close":
+            raise PenmanError(f"role ':{role}' has no value", text, at)
+        if kind == "open":
+            child = Slot(open_vars[-1], role, NODE, "")
             slots.append(child)
-        elif value.kind == "/":
-            raise PenmanError("unexpected '/'", text, value.offset)
+        elif kind == "slash":
+            raise PenmanError("unexpected '/'", text, at)
         else:
             pos += 1
-            kind = CONST if value.kind == "string" else REF  # a REF is resolved below
-            slots.append(Slot(open_vars[-1], token.value, kind, value.value))
+            # A REF is resolved below.
+            slots.append(Slot(open_vars[-1], role, CONST if kind == "string" else REF, value))
     if pos < len(tokens):
-        raise PenmanError("unexpected trailing content", text, tokens[pos].offset)
+        raise PenmanError("unexpected trailing content", text, tokens[pos][2])
     for slot in slots:
         if slot.kind == REF and slot.value not in concepts:
             slot.kind = CONST

@@ -53,7 +53,12 @@ class XmlSchemaError(XmlError):
     """Well-formed markup that breaks the element grammar; located at the markup at fault."""
 
 
+_SPECIAL_RE = re.compile(r'[&<>"\'\n\t\r]')
+
+
 def _escape(value: str) -> str:
+    if _SPECIAL_RE.search(value) is None:
+        return value
     # Newline/tab/CR must be character references or attribute-value
     # normalization would fold them into spaces on re-parse.
     value = value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -75,10 +80,11 @@ def _xml_parts(graph: SemanticGraph) -> Iterator[str]:
         yield '<semanticgraph version="1"/>'
         return
     yield '<semanticgraph version="1">'
+    out = graph._adjacency()
     for node_id in sorted(graph.nodes):
         node = graph.nodes[node_id]
         if isinstance(node, ConceptNode):
-            edges = graph.out_edges(node_id)
+            edges = out.get(node_id)
             head = f'<concept id="{_escape(node_id)}" name="{_escape(node.name)}"'
             if not edges:
                 yield head + "/>"

@@ -470,6 +470,22 @@ class TestOversizedInput:
         assert done.stderr == ""
         assert done.stdout.count("<concept ") == concepts
 
+    def test_white_space_and_comment_runs_convert(self, tmp_path):
+        # The lexer takes the white space in front of a token in the token's
+        # match: multi-megabyte runs, on a line and across a line break into
+        # an indented comment, and 100 000 comment lines holding a quote.
+        compact = '(a / x :r "q" :s (b / y))\n'
+        padded = ("(a" + " " * 4_000_000 + "/ x" + " " * 2_000_000 + "\n" + " " * 2_000_000
+                  + '# c "q\n' + ' \t# a comment with a "quote and a (paren\n' * 100_000
+                  + ':r "q"' + " \t" * 1_000_000 + "\n:s (b / y))\n")
+        outputs = []
+        for name, text in (("compact.amr", compact), ("padded.amr", padded)):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            done = run_capped(["convert", "--from", "amr", "--to", "xml", name], tmp_path)
+            assert (done.returncode, done.stderr) == (0, "")
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("name,text,args,code,out,err", [
         ("big.ttl", TTL + f'wd:Q1 rdfs:label "{BIG_LITERAL}" .\n',
          ["convert", "--from", "ttl", "--to", "xml"], 0, BIG_LITERAL, ""),

@@ -1,7 +1,9 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from semgraph import dot
 from semgraph.dot import to_dot
 from semgraph.model import Edge, InvalidGraphError, RoleLabel, SemanticGraph
 from graphgen import corpus
@@ -15,6 +17,13 @@ def _statement_counts(document):
     lines = document.splitlines()
     return (sum(1 for line in lines if NODE_STMT.match(line)),
             sum(1 for line in lines if EDGE_STMT.match(line)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.text(st.sampled_from('\\"\nab') | st.characters()))
+def test_quote_equals_the_replace_chain(text):
+    chain = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    assert dot._quote(text) == chain
 
 
 def test_header_and_rank_direction():

@@ -160,13 +160,20 @@ class TestParseTurtle:
         (EX + '"s" ex:p ex:o .', "expected a resource, got 's'", (2, 1)),
         (EX + 'ex:s ex:p "x"^^"y" .', "expected a resource, got 'y'", (2, 16)),
         (EX + "ex:s ; ex:p ex:o .", "expected a resource, got ';'", (2, 6)),
-        (EX + "ex:s ex:p true .", "'true' is not a prefixed name or IRI", (2, 11)),
+        (EX + "ex:s ex:p true .", "unsupported construct: boolean literals", (2, 11)),
         (EX + "a ex:p ex:o .", "'a' is not a prefixed name or IRI", (2, 1)),
         (EX + "_:b ex:p ex:o .", "unsupported construct: blank node labels", (2, 1)),
         (EX + "ex:s zz:p ex:o .", "unknown prefix 'zz:'", (2, 6)),
         (EX + "ex:s ex:p ex:o ex:q .", "expected ',', ';' or '.', got 'ex:q'", (2, 16)),
         (EX + 'ex:s ex:p "x"@prefix ex: <http://y/> .',
          "expected ',', ';' or '.', got '@prefix'", (2, 14)),
+        (EX + "ex:s ex:p 4x .", "'4x' is not a prefixed name or IRI", (2, 11)),
+        (EX + "ex:s ex:p ex:o , false .", "unsupported construct: boolean literals", (2, 18)),
+        (EX + "ex:s ex:p 42 .", "unsupported construct: numeric literals", (2, 11)),
+        (EX + "ex:s ex:p 42.", "unsupported construct: numeric literals", (2, 11)),
+        (EX + "ex:s ex:p ex:o ;\n  ex:q -1.5 .", "unsupported construct: numeric literals", (3, 8)),
+        (EX + "ex:s ex:p 1e3 .", "unsupported construct: numeric literals", (2, 11)),
+        (EX + "ex:s 42 ex:o .", "'42' is not a prefixed name or IRI", (2, 6)),
     ])
     def test_error_reason_and_location(self, text, reason, location):
         with pytest.raises(TurtleError) as exc:

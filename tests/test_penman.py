@@ -27,6 +27,12 @@ class TestParsePenman:
         assert tree.concepts == {"b": "boy"}
         assert tree.slots == []
 
+    def test_blank_and_comment_line_runs(self):
+        # A blank line ends an expression in a file, but not in parse_penman.
+        padded = ("(a" + " \n" * 1_000_000 + "/ x\n" + '  # c "q\n' * 100_000
+                  + "\n" * 1_000_000 + ':r "q")')
+        assert parse_penman(padded) == parse_penman('(a / x :r "q")')
+
     def test_nested_node_and_symbol_constant(self):
         tree = parse_penman("(s / say-01 :ARG0 (b / boy) :polarity -)")
         assert tree.concepts == {"s": "say-01", "b": "boy"}
@@ -283,10 +289,10 @@ def _outcome(parse_file, text):
 
 
 def _oracle_file(text):
-    """``parse_penman_file`` with the recursive parser it replaced."""
+    """``parse_penman_file`` with the lexer and the recursive parser it replaced."""
     return [penman_oracle.parse_tokens(tokens, text, end)
             for start, end, _ in penman._blocks(text)
-            if (tokens := penman._tokenize(text, start, end))]
+            if (tokens := penman_oracle.tokenize(text, start, end))]
 
 
 # Whole role fillings, closings, every token kind alone, an alignment, a
@@ -322,3 +328,45 @@ class TestAgainstRecursiveParser:
         trees = _outcome(parse_penman_file, text)
         assert len(trees) == len(AMR_SUITE)
         assert trees == _outcome(_oracle_file, text)
+
+
+def _lexed(tokenize, text, start, end):
+    """The tokens of ``text[start:end]``, or the reason and location of its error."""
+    try:
+        return tokenize(text, start, end)
+    except PenmanError as exc:
+        return exc.reason, exc.line, exc.column
+
+
+# Every character the lexer treats specially, white space of each kind, a
+# comment line holding a quote, an indented "#word" and whole tokens.
+LEXER_ALPHABET = list('()/:~"\\# \t\r\n\v\x85\xa0') + [
+    '\n# c "q\n', "\n  #w", "\r\n", ":r~e.2", "~e.1", "x~e.3", "x", ":~", '"s"', '""', "\\\n"]
+
+
+class TestAgainstOracleLexer:
+    """The one-match-per-token lexer against the one it replaced, which tries
+    every alternative at each character, over random ``start`` and ``end``."""
+
+    @pytest.mark.parametrize("strategy", [
+        mutated(SEEDS["amr"]),
+        mutated(SEEDS["umr"]),
+        mutated("\n\n".join(AMR_SUITE)),
+        st.lists(st.sampled_from(LEXER_ALPHABET) | st.characters(), max_size=14).map("".join),
+    ], ids=["fuzz-amr", "fuzz-umr", "suite", "alphabet"])
+    def test_same_tokens_or_same_error(self, strategy):
+        @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+        @given(strategy.flatmap(lambda text: st.tuples(
+            st.just(text), st.integers(0, len(text)), st.integers(0, len(text)))))
+        def check(case):
+            text, start, end = case
+            start, end = min(start, end), max(start, end)
+            assert (_lexed(penman._tokenize, text, start, end)
+                    == _lexed(penman_oracle.tokenize, text, start, end))
+
+        check()
+
+    def test_same_tokens_on_the_suite(self):
+        for text in (SEEDS["amr"], SEEDS["umr"], *AMR_SUITE):
+            tokens = penman._tokenize(text, 0, len(text))
+            assert tokens and tokens == penman_oracle.tokenize(text, 0, len(text))

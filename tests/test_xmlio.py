@@ -2,7 +2,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 import xml_oracle
 from semgraph.model import (
@@ -17,6 +17,7 @@ from semgraph.model import (
     SemanticGraph,
     validate,
 )
+from semgraph import xmlio
 from semgraph.xmlio import (
     XmlError,
     XmlSchemaError,
@@ -72,6 +73,26 @@ class TestToXml:
         g.add_entity("line\nbreak\ttab")
         document = to_xml(g)
         assert "&#10;" in document and "&#9;" in document
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(st.text(st.sampled_from('&<>"\'\n\t\rab') | st.characters()))
+    def test_escape_equals_the_replace_chain(self, text):
+        chain = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        chain = chain.replace('"', "&quot;").replace("'", "&apos;")
+        chain = chain.replace("\n", "&#10;").replace("\t", "&#9;").replace("\r", "&#13;")
+        assert xmlio._escape(text) == chain
+
+    def test_special_characters_round_trip(self):
+        special = "a&b<c>d\"e'f\ng\th\ri"
+        g = SemanticGraph()
+        concept = g.add_concept(special)
+        g.add_edge(concept, "r", g.add_entity(special, [special, "plain"]))
+        document = to_xml(g)
+        escaped = "a&amp;b&lt;c&gt;d&quot;e&apos;f&#10;g&#9;h&#13;i"
+        assert document.count(escaped) == 3
+        restored = from_xml(document)
+        assert structure_key(restored) == structure_key(g)
+        assert to_xml(restored) == document
 
     def test_nodes_sorted_by_id_byte_order(self):
         g = SemanticGraph()

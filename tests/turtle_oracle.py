@@ -7,7 +7,7 @@ It returns the same ``(kind, value, offset)`` tokens, or raises the same
 
 import re
 
-from semgraph.kg import TurtleError, _Token
+from semgraph.kg import TurtleError
 from semgraph.model import line_col
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
@@ -28,8 +28,8 @@ def _fail(text: str, offset: int, message: str):
     raise TurtleError(message, *line_col(text, offset))
 
 
-def tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens: list[tuple[str, str, int]] = []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
@@ -45,7 +45,7 @@ def tokenize(text: str) -> list[_Token]:
             iri = text[i + 1:end]
             if not iri:
                 _fail(text, i, "empty IRI")
-            tokens.append(_Token("iri", iri, i))
+            tokens.append(("iri", iri, i))
             i = end + 1
         elif c == '"':
             if text.startswith('"""', i):
@@ -63,26 +63,26 @@ def tokenize(text: str) -> list[_Token]:
                     j += 1
             if j >= n:
                 _fail(text, i, "unterminated string literal")
-            tokens.append(_Token("string", "".join(parts), i))
+            tokens.append(("string", "".join(parts), i))
             i = j + 1
         elif c == "@":
             match = _AT_RE.match(text, i)
             if not match:
                 _fail(text, i, "malformed '@' token")
-            tokens.append(_Token("at", match.group(0), i))
+            tokens.append(("at", match.group(0), i))
             i = match.end()
         elif c == ";":
-            tokens.append(_Token("semi", ";", i))
+            tokens.append(("semi", ";", i))
             i += 1
         elif c == ",":
-            tokens.append(_Token("comma", ",", i))
+            tokens.append(("comma", ",", i))
             i += 1
         elif c == ".":
-            tokens.append(_Token("dot", ".", i))
+            tokens.append(("dot", ".", i))
             i += 1
         elif c == "^":
             if text.startswith("^^", i):
-                tokens.append(_Token("dtype", "^^", i))
+                tokens.append(("dtype", "^^", i))
                 i += 2
             else:
                 _fail(text, i, "unexpected character '^'")
@@ -98,8 +98,8 @@ def tokenize(text: str) -> list[_Token]:
             if len(word) - len(stripped) > 1:
                 _fail(text, i + len(stripped) + 1, "unexpected '.'")
             if stripped:
-                tokens.append(_Token("word", stripped, i))
+                tokens.append(("word", stripped, i))
             if stripped != word:
-                tokens.append(_Token("dot", ".", i + len(stripped)))
+                tokens.append(("dot", ".", i + len(stripped)))
             i = end
     return tokens
