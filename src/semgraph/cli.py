@@ -14,6 +14,7 @@ import itertools
 import os
 import sys
 import tempfile
+import traceback
 from typing import Iterator
 
 from . import conll, dot, kg, model, penman, ucca, xmlio
@@ -25,14 +26,28 @@ def _non_empty(value: str) -> str:
     return value
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, which drops its sections once it has formatted
+    them: a section refers to the formatter and to its parent section, and
+    they refer back to it through their items, so they would be a cycle."""
+
+    def format_help(self) -> str:
+        text = super().format_help()
+        self._root_section.items.clear()
+        self._root_section = self._current_section = None
+        return text
+
+
 @functools.cache  # one per process, built at the first main(): a parser is a cycle
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semgraph",
-        description="Convert, validate and render semantic graph files.")
+        description="Convert, validate and render semantic graph files.",
+        formatter_class=_HelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    convert = sub.add_parser("convert", help="convert an input file to XML or DOT")
+    convert = sub.add_parser("convert", help="convert an input file to XML or DOT",
+                             formatter_class=_HelpFormatter)
     convert.add_argument("--from", dest="source", required=True,
                          choices=["amr", "umr", "ttl", "conll", "ucca"],
                          help="input format")
@@ -47,19 +62,22 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="default language for conll input (default: und)")
     convert.set_defaults(func=_cmd_convert)
 
-    val = sub.add_parser("validate", help="validate a semantic graph XML file")
+    val = sub.add_parser("validate", help="validate a semantic graph XML file",
+                         formatter_class=_HelpFormatter)
     val.add_argument("input", help="semantic graph XML file")
     val.add_argument("--catalogue", help="concept catalogue XML file")
     val.add_argument("--strict", action="store_true",
                      help="check concepts and roles against the catalogue")
     val.set_defaults(func=_cmd_validate)
 
-    render = sub.add_parser("render", help="render a semantic graph XML file as DOT")
+    render = sub.add_parser("render", help="render a semantic graph XML file as DOT",
+                            formatter_class=_HelpFormatter)
     render.add_argument("input", help="semantic graph XML file")
     render.add_argument("-o", "--output", help="output file (default: stdout)")
     render.set_defaults(func=_cmd_render)
 
-    cat = sub.add_parser("catalogue", help="inspect a concept catalogue file")
+    cat = sub.add_parser("catalogue", help="inspect a concept catalogue file",
+                         formatter_class=_HelpFormatter)
     cat.add_argument("action", choices=["list"])
     cat.add_argument("input", help="catalogue XML file")
     cat.set_defaults(func=_cmd_catalogue)
@@ -207,6 +225,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
+        # Python 3.10's argparse keeps the ArgumentError it reports in a local
+        # of a frame on its own traceback, a cycle; clearing the frames ends it.
+        traceback.clear_frames(exc.__traceback__)
         code = exc.code if exc.code is not None else 0
         return 3 if code == 2 else int(code)  # argparse uses 2 for usage errors
     if isinstance(sys.stdout, io.TextIOWrapper):  # data is UTF-8, as in -o files

@@ -114,21 +114,21 @@ def _conll_sentences(text: str, default_language: str) -> Iterator[ConllSentence
 
 
 def causation_spans(sentence: ConllSentence) -> list[Span]:
-    """Extract the Cause/Effect spans in sentence order."""
+    """Extract the Cause/Effect spans in sentence order.
+
+    Tags are read as conlleval reads IOB tags: a span starts at a ``B-`` tag,
+    and at an ``I-`` tag that does not continue a span of its own label.
+    """
     spans: list[Span] = []
     current: list | None = None
     for i, token in enumerate(sentence.tokens):
         tag = token.causation
-        if tag.startswith("B-"):
-            if current:
-                spans.append(Span(*current))
-            current = [tag[2:], i, i]
-        elif tag.startswith("I-"):
+        if tag.startswith("I-") and current and current[0] == tag[2:]:
             current[2] = i
-        else:
-            if current:
-                spans.append(Span(*current))
-            current = None
+            continue
+        if current:
+            spans.append(Span(*current))
+        current = [tag[2:], i, i] if tag.startswith(("B-", "I-")) else None
     if current:
         spans.append(Span(*current))
     return spans

@@ -238,8 +238,9 @@ def events_to_graph(store: TripleStore) -> SemanticGraph:
             labels[s.text].append(o.text)
         elif not (p.text == SUBEVENT_PRED and o.kind == RESOURCE and o.text in events):
             own[s.text].append((p, o))
+    planned = []
     for event, event_node in events.items():
-        planned = [(event_node, RoleLabel("id"), graph.add_entity(event))]
+        planned.append((event_node, RoleLabel("id"), graph.add_entity(event)))
         for label in labels[event]:
             planned.append((event_node, RoleLabel(LABEL_PRED), graph.add_entity(label)))
         for position, child in enumerate(children[event], start=1):
@@ -248,9 +249,8 @@ def events_to_graph(store: TripleStore) -> SemanticGraph:
             pred_node = graph.add_concept(p.text)
             planned.append((event_node, RoleLabel(p.text), pred_node))
             planned.append(_leaf_edge(graph, pred_node, o))
-        add_planned_edges(graph, planned)
-    add_planned_edges(graph, [_leaf_edge(graph, graph.add_concept(p.text), o)
-                              for p, o in islands])
+    planned += [_leaf_edge(graph, graph.add_concept(p.text), o) for p, o in islands]
+    add_planned_edges(graph, planned)
     return graph
 
 

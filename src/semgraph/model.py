@@ -273,7 +273,8 @@ class SemanticGraph:
         return node.id
 
     def add_edge(self, source: str, label: RoleLabel | str, target: str) -> Edge:
-        """Add a role edge from a concept to another node.
+        """Add a role edge from a concept to another node: the one-edge plan
+        of ``add_planned_edges``, which is never relabelled.
 
         Rejects edges whose source is missing or not a concept, whose target is
         missing, whose (source, label) slot is already filled, or whose index
@@ -281,30 +282,8 @@ class SemanticGraph:
         """
         if isinstance(label, str):
             label = RoleLabel(label)
-        edge = Edge(source, label, target)
-        self._add_edges([edge])
-        return edge
-
-    def _add_edges(self, edges: list[Edge]) -> None:
-        """Append ``edges``, all of them or none: raise ``GraphError`` if one has
-        a missing endpoint or a source that is not a concept, or if a source's
-        new edges, with its existing ones of the same role names, break the
-        slot rule. Each source's slots are checked once per call."""
-        faults = _endpoint_violations(self.nodes, edges)
-        if faults:
-            raise GraphError(faults[0].message, faults[0].code)
-        new: dict[str, list[Edge]] = {}
-        for edge in edges:
-            new.setdefault(edge.source, []).append(edge)
-        out = self._adjacency()
-        for source, batch in new.items():
-            names = {edge.label.name for edge in batch}
-            code = _slot_fault([e for e in out.get(source, ()) if e.label.name in names] + batch)
-            if code is not None:
-                what = f"'{batch[0].label}'" if len(batch) == 1 else f"{len(batch)} edges"
-                raise GraphError(f"adding {what} to '{source}' would break the slot rule"
-                                 " (each slot once, indices 1..k)", code)
-        self.edges.extend(edges)
+        add_planned_edges(self, [(source, label, target)])
+        return self.edges[-1]
 
     def out_edges(self, node_id: str) -> list[Edge]:
         """The edges leaving ``node_id``, in insertion order."""
@@ -321,10 +300,18 @@ def add_planned_edges(graph: SemanticGraph,
     member or all-indexed; otherwise it is indexed 1..k in plan order.
     Frontends use this to honour the one-slot-per-role rule when source data
     repeats a role.
+
+    Raises ``GraphError``, and inserts nothing, if an edge has a missing
+    endpoint or a source that is not a concept, or if a source's new edges,
+    with its existing ones of the same role names, break the slot rule. Each
+    source's slots are checked once per call.
     """
     groups: dict[tuple[str, str], list[Edge]] = {}
+    new: dict[str, list[Edge]] = {}  # source -> its new edges
     for source, label, target in planned:
-        groups.setdefault((source, label.name), []).append(Edge(source, label, target))
+        edge = Edge(source, label, target)
+        groups.setdefault((source, label.name), []).append(edge)
+        new.setdefault(source, []).append(edge)
     edges: list[Edge] = []
     for (_, name), group in groups.items():
         if not (len(group) == 1 or (all(e.label.index is not None for e in group)
@@ -332,7 +319,18 @@ def add_planned_edges(graph: SemanticGraph,
             for i, edge in enumerate(group, start=1):
                 edge.label = RoleLabel(name, i)
         edges.extend(group)
-    graph._add_edges(edges)
+    faults = _endpoint_violations(graph.nodes, edges)
+    if faults:
+        raise GraphError(faults[0].message, faults[0].code)
+    out = graph._adjacency()
+    for source, batch in new.items():
+        names = {edge.label.name for edge in batch}
+        code = _slot_fault([e for e in out.get(source, ()) if e.label.name in names] + batch)
+        if code is not None:
+            what = f"'{batch[0].label}'" if len(batch) == 1 else f"{len(batch)} edges"
+            raise GraphError(f"adding {what} to '{source}' would break the slot rule"
+                             " (each slot once, indices 1..k)", code)
+    graph.edges.extend(edges)
 
 
 def _copy_node_into(out: SemanticGraph, node: Node) -> str:
@@ -351,7 +349,12 @@ def _copy_into(out: SemanticGraph, graph: SemanticGraph, ids: dict[str, str]) ->
     for node_id, node in graph.nodes.items():
         if node_id not in ids:
             ids[node_id] = _copy_node_into(out, node)
-    out.edges.extend(Edge(ids[e.source], e.label, ids[e.target]) for e in graph.edges)
+    try:
+        out.edges.extend(Edge(ids[e.source], e.label, ids[e.target]) for e in graph.edges)
+    except KeyError:  # an endpoint that is not in graph.nodes
+        fault = next(v for v in _endpoint_violations(graph.nodes, graph.edges)
+                     if v.code in (EDGE_FROM_NON_CONCEPT, DANGLING_TARGET))
+        raise GraphError(fault.message, fault.code) from None
     return ids
 
 
@@ -380,7 +383,9 @@ def merge(g1: SemanticGraph, g2: SemanticGraph,
     that the result of merging lax-valid graphs is lax-valid. Neither input is
     mutated. The result gets fresh node ids assigned in a fixed order: g1's
     nodes first, then g2's unfused nodes, both in insertion order; edges keep
-    g1-then-g2 order.
+    g1-then-g2 order. An operand's edge whose source or target is not in its
+    ``nodes`` raises ``GraphError`` with ``validate``'s code and message for
+    it; any other invalid input is copied as it is.
     """
     fused_of_g2: dict[str, str] = {}
     seen_g1: set[str] = set()
@@ -479,13 +484,18 @@ def validate(graph: SemanticGraph, catalogue: ConceptCatalogue | None = None,
     contiguous from 1. Strict mode needs a catalogue and additionally checks
     that every concept name is defined, every edge label is a declared role of
     its source concept, and indexed edges appear exactly on indexed roles.
-    Entity class names are not checked against the catalogue.
+    Entity class names are not checked against the catalogue. A
+    ``graph.nodes`` key that is not its node's id is a construction fault,
+    not a violation: it raises ``GraphError``.
     """
     if mode not in ("lax", "strict"):
         raise ValueError(f"unknown validation mode: {mode!r}")
     if mode == "strict" and catalogue is None:
         raise ValueError("strict validation requires a catalogue")
     nodes = graph.nodes
+    for key, node in nodes.items():  # the writers write keys, not ids
+        if key != node.id:
+            raise GraphError(f"node key {key!r} is not the id of its node {node.id!r}")
     violations = _endpoint_violations(nodes, graph.edges)
     # Each source's slots are checked on its out-edges alone. Only the edges of
     # the sources at fault are keyed below, in ``graph.edges`` order, so that

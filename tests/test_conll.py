@@ -3,6 +3,8 @@ from hypothesis import given, strategies as st
 
 from semgraph.conll import (
     ConllError,
+    ConllSentence,
+    ConllToken,
     Span,
     causation_catalogue,
     causation_spans,
@@ -134,6 +136,53 @@ def test_span_extraction_matches_oracle(tags):
     text = "\n".join(_line(i, f"w{i}", tag) for i, tag in enumerate(tags, 1)) + "\n"
     sentence = parse_conll(text)[0]
     assert causation_spans(sentence) == _oracle_spans(tags)
+
+
+def _conlleval_spans(tags):
+    """Spans as conlleval reads IOB tags: one starts at each B- tag and at each
+    I- tag whose predecessor is O or of another label, and runs over the I-
+    tags of its label that follow."""
+    spans = []
+    for start, tag in enumerate(tags):
+        label = tag[2:]
+        before = tags[start - 1] if start else "O"
+        if tag.startswith("B-") or (tag.startswith("I-") and before[2:] != label):
+            end = start
+            while end + 1 < len(tags) and tags[end + 1] == "I-" + label:
+                end += 1
+            spans.append(Span(label, start, end))
+    return spans
+
+
+def _sentence(tags):
+    return ConllSentence([ConllToken(i, f"w{i}", "w", "X", "_", "_", "0", "dep", tag)
+                          for i, tag in enumerate(tags, start=1)])
+
+
+@given(st.lists(st.sampled_from(["O", "B-Cause", "I-Cause", "B-Effect", "I-Effect"]),
+                min_size=1, max_size=12))
+def test_any_tag_sequence_is_read_as_iob(tags):
+    # A sentence built in code need not pass the reader's I- check.
+    sentence = _sentence(tags)
+    spans = causation_spans(sentence)
+    assert spans == _conlleval_spans(tags)
+    if spans:
+        graph = causation_to_graph(sentence)
+        assert validate(graph, causation_catalogue(), "strict") == []
+        effects = [e for e in graph.edges if e.label.name == "effect"]
+        assert isinstance(graph.nodes[effects[0].target], OmittedNode) == (
+            all(span.label != "Effect" for span in spans))
+
+
+@pytest.mark.parametrize("tags, spans", [
+    (["I-Cause"], [Span("Cause", 0, 0)]),
+    (["I-Cause", "I-Cause", "O", "I-Effect"], [Span("Cause", 0, 1), Span("Effect", 3, 3)]),
+    (["B-Cause", "I-Effect"], [Span("Cause", 0, 0), Span("Effect", 1, 1)]),
+    (["B-Effect", "I-Effect", "I-Cause", "I-Cause"],
+     [Span("Effect", 0, 1), Span("Cause", 2, 3)]),
+], ids=["leading-I", "I-after-O", "I-of-another-label", "I-run-after-I-run"])
+def test_an_i_tag_that_continues_no_span_starts_one(tags, spans):
+    assert causation_spans(_sentence(tags)) == spans
 
 
 class TestCausationToGraph:

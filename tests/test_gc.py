@@ -56,9 +56,13 @@ COMMANDS = CONVERTS + [
     ("convert --from ucca --to xml orphan.ucca".split(), 2),
     ("render missing.xml".split(), 2),
     ("validate --strict ok.xml".split(), 3),
+    ("convert --from nope --to xml in.amr".split(), 3),
+    ([], 3),
+    (["validate"], 3),
+    (["convert", "--from", "conll", "--to", "xml", "--lang", "", "in.conll"], 3),
+    (["-h"], 0),
+    ("convert -h".split(), 0),
 ]
-# Not covered: a usage error that argparse reports itself. Its help formatter
-# is a cycle, but that error is raised before the collector is paused.
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import turtle_oracle
+from semgraph import kg, model
 from semgraph.kg import (
     TurtleError,
     _tokenize,
@@ -338,6 +339,20 @@ class TestEventsToGraph:
         subevents = [e for e in g.edges if e.source == top and e.label.name == "subEvent"]
         assert [e.label.index for e in subevents] == [1, 2]
         assert [events[e.target] for e in subevents] == ["wd:Q2", "wd:Q3"]
+
+    @pytest.mark.parametrize("text", [
+        "", GOLDEN, GOLDEN + 'wd:P9 rdfs:label "Paris" ; ex:q "x" .\nex:r ex:q wd:P9 .\n',
+    ], ids=["empty", "golden", "golden-and-islands"])
+    def test_all_edges_are_inserted_in_one_plan(self, monkeypatch, text):
+        plans = []
+
+        def add_planned_edges(graph, planned):
+            plans.append(len(planned))
+            model.add_planned_edges(graph, planned)
+
+        monkeypatch.setattr(kg, "add_planned_edges", add_planned_edges)
+        g = events_to_graph(parse_turtle(text))
+        assert plans == [len(g.edges)]
 
     def test_comment_and_whitespace_permutation_identical_xml(self):
         shuffled = GOLDEN.replace(" ;\n    ", " ;  # reordered whitespace\n  ")

@@ -165,6 +165,36 @@ class TestAddEdge:
             g.add_edge(a, RoleLabel("r", 3), b)
         assert exc.value.code == BAD_INDEX_SET
 
+    @pytest.mark.parametrize("source,label,target,code,message", [
+        ("n1", RoleLabel("r"), "n2", DUPLICATE_ROLE_SLOT,
+         "adding 'r' to 'n1' would break the slot rule (each slot once, indices 1..k)"),
+        ("n1", RoleLabel("s", 3), "n2", BAD_INDEX_SET,
+         "adding 's[3]' to 'n1' would break the slot rule (each slot once, indices 1..k)"),
+        ("n3", RoleLabel("r"), "n2", ENTITY_OUT_EDGE,
+         "entity 'n3' has an outgoing edge; entities are leaves"),
+        ("n4", RoleLabel("r"), "n2", OMITTED_OUT_EDGE,
+         "omitted node 'n4' has an outgoing edge"),
+        ("zz", RoleLabel("r"), "n2", EDGE_FROM_NON_CONCEPT,
+         "edge source 'zz' is not a node in the graph"),
+        ("n1", RoleLabel("t"), "zz", DANGLING_TARGET,
+         "edge target 'zz' is not a node in the graph"),
+    ], ids=["filled-slot", "index-gap", "entity-source", "omitted-source",
+            "missing-source", "missing-target"])
+    def test_rejection_code_and_message(self, source, label, target, code, message):
+        g = SemanticGraph()
+        a, b = g.add_concept("A"), g.add_concept("B")
+        g.add_entity("4")
+        g.add_omitted()
+        g.add_edge(a, "r", b)
+        g.add_edge(a, RoleLabel("s", 1), b)
+        edges = list(g.edges)
+        with pytest.raises(GraphError) as exc:
+            g.add_edge(source, label, target)
+        assert (type(exc.value), exc.value.code, str(exc.value)) == (GraphError, code, message)
+        assert g.edges == edges and g.out_edges(a) == edges
+        edge = g.add_edge(a, RoleLabel("s", 2), b)
+        assert g.edges[-1] is edge and g.out_edges(a)[-1] is edge
+
     def test_role_label_invariants(self):
         with pytest.raises(ValueError):
             RoleLabel("")
@@ -248,6 +278,20 @@ class TestValidate:
         g.add_concept("Nowhere")
         assert validate(g, ConceptCatalogue(), "lax") == []
         assert [v.code for v in validate(g, ConceptCatalogue(), "strict")] == [UNKNOWN_CONCEPT]
+
+    @pytest.mark.parametrize("key", ["a&b", "n2"])
+    @pytest.mark.parametrize("check", [
+        validate, lambda g: validate(g, ConceptCatalogue(), "strict"), to_xml, to_dot,
+    ], ids=["lax", "strict", "to_xml", "to_dot"])
+    def test_node_key_that_is_not_its_id_is_a_graph_error(self, check, key):
+        # The writers write keys: a key that is not its node's id could
+        # write XML that from_xml rejects, or a DOT node no edge meets.
+        g = SemanticGraph()
+        g.nodes[key] = ConceptNode("n1", "X")
+        with pytest.raises(GraphError) as exc:
+            check(g)
+        assert (type(exc.value), exc.value.code, str(exc.value)) == (
+            GraphError, None, f"node key {key!r} is not the id of its node 'n1'")
 
     def test_purity(self):
         g = SemanticGraph()
@@ -483,6 +527,30 @@ class TestMerge:
         g2.add_concept("A")
         with pytest.raises(GraphError):
             merge(g1, g2, [("nope", "n1")])
+
+    @pytest.mark.parametrize("operand", [0, 1], ids=["first", "second"])
+    @pytest.mark.parametrize("end,code", [("source", EDGE_FROM_NON_CONCEPT),
+                                          ("target", DANGLING_TARGET)])
+    def test_endpoint_outside_an_operand_is_a_graph_error(self, operand, end, code):
+        graphs = [fig1_graph(), fig1_graph()]
+        g = graphs[operand]
+        g.edges.append(Edge("zz", RoleLabel("t"), "n1") if end == "source"
+                       else Edge("n1", RoleLabel("t"), "zz"))
+        with pytest.raises(GraphError) as exc:
+            merge(*graphs)
+        [fault] = validate(g)
+        assert (type(exc.value), exc.value.code, str(exc.value)) == (
+            GraphError, code, fault.message)
+
+    def test_other_invalid_operands_are_copied(self):
+        g = SemanticGraph()
+        a, e = g.add_concept("A"), g.add_entity("4")
+        g.edges += [Edge(e, RoleLabel("r"), a), Edge(a, RoleLabel("r"), e),
+                    Edge(a, RoleLabel("r"), a), Edge(a, RoleLabel("s", 2), a)]
+        merged = merge(SemanticGraph(), g)
+        assert structure_key(merged) == structure_key(g)
+        assert [v.code for v in validate(merged)] == [v.code for v in validate(g)] == [
+            ENTITY_OUT_EDGE, DUPLICATE_ROLE_SLOT, BAD_INDEX_SET]
 
     def test_inputs_not_mutated(self):
         g1 = fig1_graph()
