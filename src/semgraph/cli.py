@@ -14,7 +14,6 @@ import itertools
 import os
 import sys
 import tempfile
-import traceback
 from typing import Iterator
 
 from . import conll, dot, kg, model, penman, ucca, xmlio
@@ -227,6 +226,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # Python 3.10's argparse keeps the ArgumentError it reports in a local
         # of a frame on its own traceback, a cycle; clearing the frames ends it.
+        # Imported here, as importing it costs about 3 ms of every start-up.
+        import traceback
         traceback.clear_frames(exc.__traceback__)
         code = exc.code if exc.code is not None else 0
         return 3 if code == 2 else int(code)  # argparse uses 2 for usage errors
