@@ -97,22 +97,31 @@ def _read(path: str) -> str:
 
 
 def _write(output: str | None, parts: Iterator[str]) -> None:
-    """Write a serializer's parts to ``output`` atomically, or to stdout."""
+    """Write a serializer's parts to ``output`` atomically, or to stdout.
+
+    The file gets the mode that ``open`` would give it, and an error names
+    ``output``, not the temporary file."""
     # Taking the first part runs the serializer's validation, so a graph that
     # it refuses opens no file, not even a temporary one.
     parts = itertools.chain([next(parts)], parts)
     if output is None:
         sys.stdout.writelines(parts)
         return
-    directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".semgraph-")
+    umask = os.umask(0)
+    os.umask(umask)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(output)),
+                                   prefix=".semgraph-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(parts)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp gives 0o600
         os.replace(tmp, output)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, output) from None
         raise
 
 

@@ -38,17 +38,17 @@ def _dot_parts(graph: SemanticGraph) -> Iterator[str]:
     for node_id in node_ids:
         node = graph.nodes[node_id]
         if isinstance(node, ConceptNode):
-            yield f'  "{_quote(node_id)}" [shape=box, label="{_quote(node.name)}"];\n'
+            yield f'  "{node_id}" [shape=box, label="{_quote(node.name)}"];\n'
         elif isinstance(node, EntityNode):
             label = "\n".join([*node.classes, node.value])
-            yield f'  "{_quote(node_id)}" [shape=ellipse, label="{_quote(label)}"];\n'
+            yield f'  "{node_id}" [shape=ellipse, label="{_quote(label)}"];\n'
         else:
-            yield (f'  "{_quote(node_id)}" [shape=circle, style=filled,'
+            yield (f'  "{node_id}" [shape=circle, style=filled,'
                    ' fillcolor=gray, label=""];\n')
     # Edges after all node statements; a valid graph's edges leave concepts only.
     out = graph._adjacency()
     for node_id in node_ids:
         for edge in out.get(node_id, ()):
-            yield (f'  "{_quote(edge.source)}" -> "{_quote(edge.target)}"'
+            yield (f'  "{edge.source}" -> "{edge.target}"'
                    f' [label="{_quote(str(edge.label))}"];\n')
     yield "}\n"

@@ -92,6 +92,8 @@ class InvalidGraphError(GraphError):
 
 
 def _check_id(node_id: str) -> None:
+    # The node records are frozen, so an id checked here holds for good, and
+    # the writers write ids as they are.
     if not _ID_RE.match(node_id):
         raise GraphError(f"invalid node id {node_id!r}")
 
@@ -113,7 +115,7 @@ class RoleLabel:
         return self.name if self.index is None else f"{self.name}[{self.index}]"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ConceptNode:
     """Predicate node; the only node kind that may own outgoing role edges."""
 
@@ -126,9 +128,12 @@ class ConceptNode:
             raise GraphError("concept name must be non-empty")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class EntityNode:
-    """Leaf node for an instance: a value plus the classes it belongs to."""
+    """Leaf node for an instance: a value plus the classes it belongs to.
+
+    The fields cannot be reassigned, but ``classes`` is a list that the XML
+    reader appends to."""
 
     id: str
     value: str
@@ -138,9 +143,11 @@ class EntityNode:
         _check_id(self.id)
         if not self.value:
             raise GraphError("entity value must be non-empty")
+        if not all(self.classes):
+            raise GraphError("entity class name must be non-empty")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class OmittedNode:
     """Leaf placeholder for a role that is implied but unexpressed in the source."""
 
@@ -493,7 +500,7 @@ def validate(graph: SemanticGraph, catalogue: ConceptCatalogue | None = None,
     if mode == "strict" and catalogue is None:
         raise ValueError("strict validation requires a catalogue")
     nodes = graph.nodes
-    for key, node in nodes.items():  # the writers write keys, not ids
+    for key, node in nodes.items():  # the writers write keys as they are
         if key != node.id:
             raise GraphError(f"node key {key!r} is not the id of its node {node.id!r}")
     violations = _endpoint_violations(nodes, graph.edges)

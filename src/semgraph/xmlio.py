@@ -22,6 +22,7 @@ from .model import (
     ConceptNode,
     Edge,
     EntityNode,
+    GraphError,
     InvalidGraphError,
     OmittedNode,
     RoleLabel,
@@ -53,12 +54,19 @@ class XmlSchemaError(XmlError):
     """Well-formed markup that breaks the element grammar; located at the markup at fault."""
 
 
-_SPECIAL_RE = re.compile(r'[&<>"\'\n\t\r]')
+# The characters that XML 1.0 cannot carry, not even as a reference.
+_UNCARRIED = r"\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
+_UNCARRIED_RE = re.compile(f"[{_UNCARRIED}]")
+_SPECIAL_RE = re.compile(f"[&<>\"'\n\t\r{_UNCARRIED}]")
 
 
 def _escape(value: str) -> str:
     if _SPECIAL_RE.search(value) is None:
         return value
+    bad = _UNCARRIED_RE.search(value)
+    if bad is not None:
+        raise GraphError(f"XML cannot carry the character U+{ord(bad.group()):04X}"
+                         f" in {value!r}")
     # Newline/tab/CR must be character references or attribute-value
     # normalization would fold them into spaces on re-parse.
     value = value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -67,12 +75,17 @@ def _escape(value: str) -> str:
 
 
 def to_xml(graph: SemanticGraph) -> str:
-    """Serialize a graph that passes lax validation to its canonical XML form."""
+    """Serialize a graph that passes lax validation to its canonical XML form.
+
+    Raises ``GraphError`` for a name, value or class name holding a character
+    that XML cannot carry (see ``_UNCARRIED``)."""
     return "".join(_xml_parts(graph))
 
 
 def _xml_parts(graph: SemanticGraph) -> Iterator[str]:
-    """``to_xml``'s text in parts; the graph is validated before the first."""
+    """``to_xml``'s text in parts; the graph is validated before the first.
+    Ids and role targets are written as they are: validation leaves only
+    node keys that are their frozen nodes' checked ids."""
     violations = validate(graph)
     if violations:
         raise InvalidGraphError(violations)
@@ -85,7 +98,7 @@ def _xml_parts(graph: SemanticGraph) -> Iterator[str]:
         node = graph.nodes[node_id]
         if isinstance(node, ConceptNode):
             edges = out.get(node_id)
-            head = f'<concept id="{_escape(node_id)}" name="{_escape(node.name)}"'
+            head = f'<concept id="{node_id}" name="{_escape(node.name)}"'
             if not edges:
                 yield head + "/>"
                 continue
@@ -93,10 +106,10 @@ def _xml_parts(graph: SemanticGraph) -> Iterator[str]:
             for edge in edges:
                 index = "" if edge.label.index is None else f' index="{edge.label.index}"'
                 yield (f'<role name="{_escape(edge.label.name)}"{index}'
-                       f' target="{_escape(edge.target)}"/>')
+                       f' target="{edge.target}"/>')
             yield "</concept>"
         elif isinstance(node, EntityNode):
-            head = f'<entity id="{_escape(node_id)}" value="{_escape(node.value)}"'
+            head = f'<entity id="{node_id}" value="{_escape(node.value)}"'
             if not node.classes:
                 yield head + "/>"
                 continue
@@ -105,7 +118,7 @@ def _xml_parts(graph: SemanticGraph) -> Iterator[str]:
                 yield f'<class name="{_escape(cls)}"/>'
             yield "</entity>"
         else:
-            yield f'<omitted id="{_escape(node_id)}"/>'
+            yield f'<omitted id="{node_id}"/>'
     yield "</semanticgraph>"
 
 

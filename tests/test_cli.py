@@ -1,7 +1,9 @@
+import errno
 import functools
 import os
 import re
 import resource
+import stat
 import subprocess
 import sys
 
@@ -227,6 +229,74 @@ class TestRender:
         path.write_text(BAD_GRAPH_XML, encoding="utf-8")
         assert main(["render", str(path), "-o", str(tmp_path / "missing" / "out.dot")]) == 1
         assert capsys.readouterr().err.startswith("ENTITY_OUT_EDGE\t")
+
+
+@pytest.fixture(params=[0o022, 0o077], ids=lambda mask: f"umask-{mask:03o}")
+def umask(request):
+    old = os.umask(request.param)
+    yield request.param
+    os.umask(old)
+
+
+def _left_behind(directory):
+    return sorted(path.name for path in directory.iterdir()
+                  if path.name.startswith(".semgraph-"))
+
+
+class TestOutputFiles:
+    def test_files_get_the_mode_that_open_gives(self, tmp_path, ttl_file, umask):
+        two_tops = tmp_path / "two.ttl"
+        two_tops.write_text(TTL + 'wd:Q9 a sem:Event ; rdfs:label "Other" .\n',
+                            encoding="utf-8")
+        assert main(["convert", "--from", "ttl", "--to", "xml", str(ttl_file),
+                     "-o", str(tmp_path / "one.xml")]) == 0
+        assert main(["convert", "--from", "ttl", "--to", "xml", "--no-combine",
+                     str(two_tops), "-o", str(tmp_path / "out.xml")]) == 0
+        assert main(["render", str(tmp_path / "one.xml"), "-o", str(tmp_path / "one.dot")]) == 0
+        written = ["one.xml", "out-01.xml", "out-02.xml", "one.dot"]
+        assert {name: stat.S_IMODE((tmp_path / name).stat().st_mode) for name in written} == {
+            name: 0o666 & ~umask for name in written}
+
+    @pytest.mark.parametrize("output,code", [("out.xml", errno.EISDIR),
+                                             (os.path.join("nodir", "out.xml"), errno.ENOENT)],
+                             ids=["directory", "missing-directory"])
+    def test_an_output_error_names_the_output(self, tmp_path, ttl_file, capsys, monkeypatch,
+                                              output, code):
+        (tmp_path / "out.xml").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["convert", "--from", "ttl", "--to", "xml", str(ttl_file),
+                     "-o", output]) == 2
+        assert capsys.readouterr().err == (
+            f"semgraph: error: [Errno {code}] {os.strerror(code)}: {output!r}\n")
+        assert _left_behind(tmp_path) == []
+        assert list((tmp_path / "out.xml").iterdir()) == []
+
+    @pytest.mark.parametrize("source,text,args,value", [
+        ("amr", "(a / wa\x01nt-01 :ARG0 (b / boy))\n", [], "wa\\x01nt-01"),
+        ("ttl", TTL.replace("Storming", "Storm\x01ing"), [],
+         "Storm\\x01ing of the Bastille"),
+        ("conll", "1\ta\x01b\ta\tX\t_\t_\t0\td\tB-Cause\n", [], "a\\x01b"),
+        ("conll", "1\tab\ta\tX\t_\t_\t0\td\tB-Cause\n", ["--lang", "\x01"], "\\x01"),
+    ], ids=["amr-concept", "ttl-literal", "conll-form", "lang"])
+    def test_a_character_xml_cannot_carry_writes_no_file(self, tmp_path, capsys, source,
+                                                          text, args, value):
+        source_path = tmp_path / f"in.{source}"
+        source_path.write_text(text, encoding="utf-8")
+        assert main(["convert", "--from", source, "--to", "xml", *args, str(source_path),
+                     "-o", str(tmp_path / "out.xml")]) == 2
+        assert capsys.readouterr().err == (
+            f"semgraph: error: XML cannot carry the character U+0001 in '{value}'\n")
+        assert [path.name for path in tmp_path.iterdir()] == [source_path.name]
+
+    def test_stdout_keeps_the_parts_before_the_fault(self, tmp_path, capsys):
+        source = tmp_path / "in.amr"
+        source.write_text("(a / want-01 :ARG0 (b / bo\x01y))\n", encoding="utf-8")
+        assert main(["convert", "--from", "amr", "--to", "xml", str(source)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ('<semanticgraph version="1"><concept id="n1" name="want-01">'
+                                '<role name="ARG0" target="n2"/></concept>')
+        assert captured.err == (
+            "semgraph: error: XML cannot carry the character U+0001 in 'bo\\x01y'\n")
 
 
 class TestCatalogueCommand:

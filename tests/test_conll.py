@@ -101,6 +101,14 @@ class TestParseConll:
         assert [s.language for s in sentences] == ["it", "en"]
         assert [len(s.tokens) for s in sentences] == [7, 1]
 
+    def test_last_sentence_without_trailing_newline(self):
+        text = RAIN_SENTENCE + "\n" + _sentence_text([("x", "B-Cause")], lang="en")
+        sentences = parse_conll(text.removesuffix("\n"))
+        assert [(s.language, len(s.tokens)) for s in sentences] == [("it", 7), ("en", 1)]
+        g = causation_to_graph(sentences[1])
+        assert validate(g) == []
+        assert [n.value for n in g.nodes.values() if hasattr(n, "value")] == ["x", "en"]
+
     def test_syntax_columns_preserved_opaque(self):
         token = parse_conll(_sentence_text([("la", "O")]))[0].tokens[0]
         assert (token.lemma, token.upos, token.head, token.deprel) == ("la", "X", "0", "dep")

@@ -26,6 +26,18 @@ def test_quote_equals_the_replace_chain(text):
     assert dot._quote(text) == chain
 
 
+def test_ids_sources_and_targets_are_written_as_they_are(monkeypatch):
+    g = SemanticGraph()
+    g.add_edge(g.add_concept('a"b'), "r", g.add_entity("v", ["k"]))
+    quoted = []
+    monkeypatch.setattr(dot, "_quote", lambda text: quoted.append(text) or text)
+    assert to_dot(g) == ('digraph semanticgraph {\n  rankdir=TB;\n'
+                         '  "n1" [shape=box, label="a"b"];\n'
+                         '  "n2" [shape=ellipse, label="k\nv"];\n'
+                         '  "n1" -> "n2" [label="r"];\n}\n')
+    assert quoted == ['a"b', "k\nv", "r"]
+
+
 def test_header_and_rank_direction():
     document = to_dot(SemanticGraph())
     assert document.startswith("digraph semanticgraph {")

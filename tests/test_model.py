@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -79,6 +80,41 @@ class TestAddEntity:
         g = SemanticGraph()
         node_id = g.add_entity("x", ["B", "A", "C"])
         assert g.nodes[node_id].classes == ["B", "A", "C"]
+
+    @pytest.mark.parametrize("classes", [[""], ["A", ""]])
+    def test_empty_class_name_rejected(self, classes):
+        # to_xml would write <class name=""/>, which from_xml rejects.
+        g = SemanticGraph()
+        with pytest.raises(GraphError, match="^entity class name must be non-empty$"):
+            g.add_entity("v", classes)
+        assert g.nodes == {}
+
+
+class TestFrozenNodes:
+    """A node's fields cannot be reassigned, so the checks made when it is
+    built hold for good, and the writers need not escape ids."""
+
+    @pytest.mark.parametrize("node,field", [
+        (ConceptNode("n1", "X"), "id"),
+        (ConceptNode("n1", "X"), "name"),
+        (EntityNode("n1", "v", ["k"]), "id"),
+        (EntityNode("n1", "v", ["k"]), "value"),
+        (EntityNode("n1", "v", ["k"]), "classes"),
+        (OmittedNode("n1"), "id"),
+    ], ids=lambda x: x if isinstance(x, str) else type(x).__name__)
+    @pytest.mark.parametrize("value", ["a&b", ""])
+    def test_fields_cannot_be_reassigned(self, node, field, value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, field, value)
+        assert getattr(node, field) != value
+
+    def test_a_reassigned_id_cannot_reach_the_writers(self):
+        g = SemanticGraph()
+        n = ConceptNode("n1", "X")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            n.id = "a&b"
+        g.nodes[n.id] = n
+        assert from_xml(to_xml(g)).nodes == {"n1": n}
 
 
 class TestAddOmitted:
@@ -202,18 +238,21 @@ class TestAddEdge:
             RoleLabel("r", 0)
         assert str(RoleLabel("r", 2)) == "r[2]"
 
-    @pytest.mark.parametrize("build", [
-        lambda: RoleLabel(""),
-        lambda: RoleLabel("r", 0),
-        lambda: ConceptNode("a", ""),
-        lambda: ConceptNode("a b", "X"),
-        lambda: EntityNode("e", ""),
-        lambda: OmittedNode(""),
+    @pytest.mark.parametrize("build,message", [
+        (lambda: RoleLabel(""), "role name must be non-empty"),
+        (lambda: RoleLabel("r", 0), "role index must be >= 1"),
+        (lambda: ConceptNode("a", ""), "concept name must be non-empty"),
+        (lambda: ConceptNode("a b", "X"), "invalid node id 'a b'"),
+        (lambda: EntityNode("e", ""), "entity value must be non-empty"),
+        (lambda: OmittedNode(""), "invalid node id ''"),
+        (lambda: EntityNode("e", "v", ["k", ""]), "entity class name must be non-empty"),
+        (lambda: ConceptDefinition(""), "concept definition name must be non-empty"),
     ], ids=["role-name", "role-index", "concept-name", "concept-id", "entity-value",
-            "omitted-id"])
-    def test_record_faults_are_graph_errors(self, build):
-        with pytest.raises(GraphError):
+            "omitted-id", "entity-class", "definition-name"])
+    def test_record_faults_are_graph_errors(self, build, message):
+        with pytest.raises(GraphError) as exc:
             build()
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("source,target", [
         ("n2", "n1"), ("n3", "n1"), ("n1", "ghost"), ("ghost", "n1"), ("n2", "ghost"),
@@ -521,12 +560,39 @@ class TestMerge:
         assert len(merged.edges) == 2
         assert validate(merged) == []
 
-    def test_unknown_correspondence_id_rejected(self):
+    @pytest.mark.parametrize("pair,message", [
+        (("nope", "n1"), "correspondence id 'nope' is not in the first graph"),
+        (("n1", "zz"), "correspondence id 'zz' is not in the second graph"),
+    ])
+    def test_unknown_correspondence_id_rejected(self, pair, message):
         g1 = SemanticGraph()
+        g1.add_concept("A")
         g2 = SemanticGraph()
         g2.add_concept("A")
-        with pytest.raises(GraphError):
-            merge(g1, g2, [("nope", "n1")])
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            merge(g1, g2, [pair])
+
+    @pytest.mark.parametrize("correspondence", [
+        [("n1", "n1"), ("n1", "n2")], [("n1", "n1"), ("n2", "n1")],
+    ], ids=["first", "second"])
+    def test_node_repeated_in_correspondence_rejected(self, correspondence):
+        g1, g2 = SemanticGraph(), SemanticGraph()
+        for g in (g1, g2):
+            g.add_concept("A")
+            g.add_concept("A")
+        with pytest.raises(GraphError,
+                           match="^a node may appear only once in the correspondence$"):
+            merge(g1, g2, correspondence)
+
+    def test_omitted_nodes_fuse(self):
+        g1, g2 = SemanticGraph(), SemanticGraph()
+        g1.add_edge(g1.add_concept("A"), "r", hole1 := g1.add_omitted())
+        g2.add_edge(g2.add_concept("B"), "s", hole2 := g2.add_omitted())
+        merged = merge(g1, g2, [(hole1, hole2)])
+        assert len(merged.nodes) == 3
+        assert [(e.source, str(e.label), e.target) for e in merged.edges] == [
+            ("n1", "r", "n2"), ("n3", "s", "n2")]
+        assert validate(merged) == []
 
     @pytest.mark.parametrize("operand", [0, 1], ids=["first", "second"])
     @pytest.mark.parametrize("end,code", [("source", EDGE_FROM_NON_CONCEPT),

@@ -57,8 +57,11 @@ class TestParseUcca:
         ("root u1\nunit u1\nunit u2\n", "node 'u2' has no parent and is not the root", 3),
         ("root u1\nunit u1\nterm t1 x\nterm t2 y\n# t2\nedge u1 t1 A\n",
          "node 't2' has no parent and is not the root", 4),
+        ("unit u0\nroot u0 u1\n", "root record needs exactly one id", 2),
+        ("root u1\nunit u1\nedge zz u1 A\n", "edge references unknown node 'zz'", 3),
     ], ids=["empty", "missing-root", "missing-root-no-final-newline", "undeclared-root",
-            "terminal-root", "terminal-root-after-term", "orphan", "orphan-terminal"])
+            "terminal-root", "terminal-root-after-term", "orphan", "orphan-terminal",
+            "root-with-two-ids", "edge-from-undeclared"])
     def test_shape_errors_are_rejected_and_located(self, text, reason, line):
         with pytest.raises(UccaError) as exc:
             parse_ucca(text)

@@ -8,6 +8,7 @@ import xml_oracle
 from semgraph.model import (
     ENTITY_OUT_EDGE,
     OMITTED_OUT_EDGE,
+    GraphError,
     InvalidGraphError,
     RoleLabel,
     RoleSpec,
@@ -30,6 +31,12 @@ from semgraph.xmlio import (
 from graphgen import corpus
 from helpers import fig1_graph, structure_key
 from test_fuzz import SEEDS, mutated
+
+
+def _xml_char(c: str) -> bool:
+    """XML 1.0's Char production."""
+    return (c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd"
+            or c >= "\U00010000")
 
 
 class TestToXml:
@@ -75,12 +82,55 @@ class TestToXml:
         assert "&#10;" in document and "&#9;" in document
 
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
-    @given(st.text(st.sampled_from('&<>"\'\n\t\rab') | st.characters()))
+    @given(st.text(st.sampled_from('&<>"\'\n\t\rab\x01\x1f\ud800\uffff')
+                   | st.characters()))
     def test_escape_equals_the_replace_chain(self, text):
+        uncarried = [c for c in text if not _xml_char(c)]
+        if uncarried:
+            with pytest.raises(GraphError, match=f"U\\+{ord(uncarried[0]):04X} "):
+                xmlio._escape(text)
+            return
         chain = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         chain = chain.replace('"', "&quot;").replace("'", "&apos;")
         chain = chain.replace("\n", "&#10;").replace("\t", "&#9;").replace("\r", "&#13;")
         assert xmlio._escape(text) == chain
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(st.text(st.sampled_from("a&\n\x00\x0b\x7f\ud800\ufffe") | st.characters(),
+                   min_size=1), st.text(st.characters(), min_size=1))
+    def test_any_name_and_value_round_trips_or_is_refused(self, name, value):
+        g = SemanticGraph()
+        g.add_edge(g.add_concept(name), "r", g.add_entity(value, [name]))
+        try:
+            document = to_xml(g)
+        except GraphError:
+            assert not all(map(_xml_char, name + value))
+            return
+        restored = from_xml(document)
+        assert structure_key(restored) == structure_key(g)
+        assert to_xml(restored) == document
+
+    @pytest.mark.parametrize("char", ["\x00", "\x08", "\x0b", "\x0c", "\x1f", "\ud800",
+                                      "\udfff", "\ufffe", "\uffff"])
+    def test_characters_xml_cannot_carry_are_refused(self, char):
+        g = SemanticGraph()
+        g.add_concept(f"a{char}b")
+        with pytest.raises(GraphError, match=f"^XML cannot carry the character"
+                                             f" U\\+{ord(char):04X} in "):
+            to_xml(g)
+        catalogue = ConceptCatalogue([ConceptDefinition("A", [RoleSpec(char)])])
+        with pytest.raises(GraphError, match=f"U\\+{ord(char):04X}"):
+            catalogue_to_xml(catalogue)
+
+    def test_ids_and_targets_are_written_as_they_are(self, monkeypatch):
+        g = SemanticGraph()
+        g.add_edge(g.add_concept("a&b"), "r", g.add_omitted())
+        escaped = []
+        monkeypatch.setattr(xmlio, "_escape", lambda text: escaped.append(text) or text)
+        assert to_xml(g) == ('<semanticgraph version="1"><concept id="n1" name="a&b">'
+                             '<role name="r" target="n2"/></concept><omitted id="n2"/>'
+                             '</semanticgraph>')
+        assert escaped == ["a&b", "r"]
 
     def test_special_characters_round_trip(self):
         special = "a&b<c>d\"e'f\ng\th\ri"
