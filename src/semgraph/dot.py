@@ -28,7 +28,8 @@ def to_dot(graph: SemanticGraph) -> str:
 
 
 def _dot_parts(graph: SemanticGraph) -> Iterator[str]:
-    """``to_dot``'s text, one line per part; the graph is validated before the first."""
+    """``to_dot``'s text, one line per part; the graph is validated before the first.
+    Ids, edge sources and targets are written as they are, as in ``xmlio._xml_parts``."""
     violations = validate(graph)
     if violations:
         raise InvalidGraphError(violations)
