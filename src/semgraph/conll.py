@@ -172,15 +172,14 @@ def _add_causation(graph: SemanticGraph, sentence: ConllSentence) -> SemanticGra
     sentence_node = graph.add_concept("Sentence")
     causation_node = graph.add_concept("Causation")
     doc_node = graph.add_concept("LanguageDoc")
-    planned = [(sentence_node, RoleLabel("content"), causation_node),
-               (sentence_node, RoleLabel("source"), doc_node)]
+    planned = [(sentence_node, "content", causation_node), (sentence_node, "source", doc_node)]
     entity_of = {span: graph.add_entity(span_text(sentence, span), [UNANALYSED_CLASS])
                  for span in spans}
     for label, role in (("Cause", "cause"), ("Effect", "effect")):
         targets = [entity_of[span] for span in spans if span.label == label]
         for i, target in enumerate(targets or [graph.add_omitted()], start=1):
             planned.append((causation_node, RoleLabel(role, i), target))
-    planned.append((doc_node, RoleLabel("language"), graph.add_entity(sentence.language)))
+    planned.append((doc_node, "language", graph.add_entity(sentence.language)))
     planned += [(doc_node, RoleLabel("element", i), entity_of[span])
                 for i, span in enumerate(spans, start=1)]
     add_planned_edges(graph, planned)

@@ -203,9 +203,9 @@ def parse_turtle(text: str) -> TripleStore:
     return store
 
 
-def _leaf_edge(graph: SemanticGraph, pred_node: str, obj: Term) -> tuple[str, RoleLabel, str]:
+def _leaf_edge(graph: SemanticGraph, pred_node: str, obj: Term) -> tuple[str, str, str]:
     role = "id" if obj.kind == RESOURCE else "value"
-    return (pred_node, RoleLabel(role), graph.add_entity(obj.text))
+    return (pred_node, role, graph.add_entity(obj.text))
 
 
 def events_to_graph(store: TripleStore) -> SemanticGraph:
@@ -240,14 +240,13 @@ def events_to_graph(store: TripleStore) -> SemanticGraph:
             own[s.text].append((p, o))
     planned = []
     for event, event_node in events.items():
-        planned.append((event_node, RoleLabel("id"), graph.add_entity(event)))
-        for label in labels[event]:
-            planned.append((event_node, RoleLabel(LABEL_PRED), graph.add_entity(label)))
+        planned.append((event_node, "id", graph.add_entity(event)))
+        planned += [(event_node, LABEL_PRED, graph.add_entity(label)) for label in labels[event]]
         for position, child in enumerate(children[event], start=1):
             planned.append((event_node, RoleLabel("subEvent", position), events[child]))
         for p, o in own[event]:
             pred_node = graph.add_concept(p.text)
-            planned.append((event_node, RoleLabel(p.text), pred_node))
+            planned.append((event_node, p.text, pred_node))
             planned.append(_leaf_edge(graph, pred_node, o))
     planned += [_leaf_edge(graph, graph.add_concept(p.text), o) for p, o in islands]
     add_planned_edges(graph, planned)

@@ -287,8 +287,6 @@ class SemanticGraph:
         missing, whose (source, label) slot is already filled, or whose index
         would leave the role's index set non-contiguous.
         """
-        if isinstance(label, str):
-            label = RoleLabel(label)
         add_planned_edges(self, [(source, label, target)])
         return self.edges[-1]
 
@@ -298,24 +296,29 @@ class SemanticGraph:
 
 
 def add_planned_edges(graph: SemanticGraph,
-                      planned: Iterable[tuple[str, RoleLabel, str]]) -> None:
+                      planned: Iterable[tuple[str, RoleLabel | str, str]]) -> None:
     """Insert planned (source, label, target) edges, repairing slot collisions.
 
-    Edges are grouped by (source, role name) in first-occurrence order and
-    inserted group after group, in one batch that goes in whole or not at all.
-    A group is kept as planned if ``_slot_fault`` passes it and it is one
-    member or all-indexed; otherwise it is indexed 1..k in plan order.
-    Frontends use this to honour the one-slot-per-role rule when source data
-    repeats a role.
+    A planned label is a ``RoleLabel`` or a role name, for the unindexed
+    label; the edges of one call share one label per (name, index). Edges are
+    grouped by (source, role name) in first-occurrence order and inserted
+    group after group, in one batch that goes in whole or not at all. A group
+    is kept as planned if ``_slot_fault`` passes it and it is one member or
+    all-indexed; otherwise it is indexed 1..k in plan order. Frontends use
+    this to honour the one-slot-per-role rule when source data repeats a role.
 
     Raises ``GraphError``, and inserts nothing, if an edge has a missing
     endpoint or a source that is not a concept, or if a source's new edges,
     with its existing ones of the same role names, break the slot rule. Each
     source's slots are checked once per call.
     """
+    labels: dict[tuple[str, int | None], RoleLabel] = {}  # the call's label per pair
     groups: dict[tuple[str, str], list[Edge]] = {}
     new: dict[str, list[Edge]] = {}  # source -> its new edges
     for source, label, target in planned:
+        if isinstance(label, str):
+            label = labels.get((label, None)) or RoleLabel(label)
+        label = labels.setdefault((label.name, label.index), label)
         edge = Edge(source, label, target)
         groups.setdefault((source, label.name), []).append(edge)
         new.setdefault(source, []).append(edge)
@@ -324,7 +327,8 @@ def add_planned_edges(graph: SemanticGraph,
         if not (len(group) == 1 or (all(e.label.index is not None for e in group)
                                     and _slot_fault(group) is None)):
             for i, edge in enumerate(group, start=1):
-                edge.label = RoleLabel(name, i)
+                label = labels.get((name, i)) or RoleLabel(name, i)
+                edge.label = labels.setdefault((name, i), label)
         edges.extend(group)
     faults = _endpoint_violations(graph.nodes, edges)
     if faults:

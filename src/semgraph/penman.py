@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .model import RoleLabel, SemanticGraph, SourceError, _lines, add_planned_edges, line_col
+from .model import SemanticGraph, SourceError, _lines, add_planned_edges, line_col
 
 NODE = "node"
 REF = "ref"
@@ -232,9 +232,9 @@ def _plan_slot_edge(planned: list, source: str, role: str, target: str,
     # X-of roles flip to a forward X edge, but only onto concept targets:
     # an entity may never become an edge source.
     if role.endswith("-of") and len(role) > 3 and target_is_concept:
-        planned.append((target, RoleLabel(role[:-3]), source))
+        planned.append((target, role[:-3], source))
     else:
-        planned.append((source, RoleLabel(role), target))
+        planned.append((source, role, target))
 
 
 def amr_to_graph(tree: PenmanTree) -> SemanticGraph:
@@ -287,7 +287,7 @@ def _to_graph(graph: SemanticGraph, sentences: list[PenmanTree],
     var_node: dict[str, str] = {}
     promoted_node: dict[str, str] = {}
     const_entity: dict[str, str] = {}
-    planned: list[tuple[str, RoleLabel, str]] = []
+    planned: list[tuple[str, str, str]] = []
     for tree in sentences:
         for var, label in tree.concepts.items():
             var_node[var] = graph.add_concept(label)
@@ -311,6 +311,6 @@ def _to_graph(graph: SemanticGraph, sentences: list[PenmanTree],
         target = var_node.get(relation.target)
         if target is None:
             target = promoted_node.get(relation.target, const_entity.get(relation.target))
-        planned.append((source, RoleLabel(relation.relation), target))
+        planned.append((source, relation.relation, target))
     add_planned_edges(graph, planned)
     return graph

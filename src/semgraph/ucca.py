@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import RoleLabel, SemanticGraph, SourceError, _lines, add_planned_edges
+from .model import SemanticGraph, SourceError, _lines, add_planned_edges
 
 UNIT_CONCEPT = "UCCA.Unit"
 TERMINAL_CLASS = "UCCA.Terminal"
@@ -120,8 +120,6 @@ def ucca_to_graph(passage: UccaPassage) -> SemanticGraph:
             node_of[node_id] = graph.add_concept(UNIT_CONCEPT)
         else:
             node_of[node_id] = graph.add_entity(node.text, [TERMINAL_CLASS])
-    add_planned_edges(graph, [
-        (node_of[edge.parent], RoleLabel(edge.category), node_of[edge.child])
-        for edge in passage.edges
-    ])
+    add_planned_edges(graph, [(node_of[edge.parent], edge.category, node_of[edge.child])
+                              for edge in passage.edges])
     return graph
