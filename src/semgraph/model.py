@@ -429,6 +429,10 @@ class RoleSpec:
     name: str
     indexed: bool = False
 
+    def __post_init__(self):
+        if not self.name:
+            raise GraphError("role name must be non-empty")
+
 
 @dataclass
 class ConceptDefinition:
@@ -496,7 +500,8 @@ def validate(graph: SemanticGraph, catalogue: ConceptCatalogue | None = None,
     that every concept name is defined, every edge label is a declared role of
     its source concept, and indexed edges appear exactly on indexed roles.
     Entity class names are not checked against the catalogue. A
-    ``graph.nodes`` key that is not its node's id is a construction fault,
+    ``graph.nodes`` key that is not its node's id, or an edge whose
+    ``source`` is not the node it was added under, is a construction fault,
     not a violation: it raises ``GraphError``.
     """
     if mode not in ("lax", "strict"):
@@ -507,11 +512,17 @@ def validate(graph: SemanticGraph, catalogue: ConceptCatalogue | None = None,
     for key, node in nodes.items():  # the writers write keys as they are
         if key != node.id:
             raise GraphError(f"node key {key!r} is not the id of its node {node.id!r}")
+    adjacency = graph._adjacency()
+    for source, out in adjacency.items():  # the writers read edges by source
+        for edge in out:
+            if edge.source != source:
+                raise GraphError(f"edge '{edge}' is listed under source '{source}';"
+                                 " an edge's source may not be reassigned")
     violations = _endpoint_violations(nodes, graph.edges)
     # Each source's slots are checked on its out-edges alone. Only the edges of
     # the sources at fault are keyed below, in ``graph.edges`` order, so that
     # the violations come in that order.
-    faulty = {source for source, out in graph._adjacency().items() if _slot_fault(out)}
+    faulty = {source for source, out in adjacency.items() if _slot_fault(out)}
     faulty_edges = [edge for edge in graph.edges if edge.source in faulty] if faulty else []
     slots: dict[tuple[str, str, int | None], list[Edge]] = {}
     for edge in faulty_edges:

@@ -78,7 +78,8 @@ def to_xml(graph: SemanticGraph) -> str:
     """Serialize a graph that passes lax validation to its canonical XML form.
 
     Raises ``GraphError`` for a name, value or class name holding a character
-    that XML cannot carry (see ``_UNCARRIED``)."""
+    that XML cannot carry (see ``_UNCARRIED``), and for an empty class name,
+    which ``from_xml`` would reject."""
     return "".join(_xml_parts(graph))
 
 
@@ -115,6 +116,8 @@ def _xml_parts(graph: SemanticGraph) -> Iterator[str]:
                 continue
             yield head + ">"
             for cls in node.classes:
+                if not cls:  # the list may be appended to after construction
+                    raise GraphError(f"empty class name on entity '{node_id}'")
                 yield f'<class name="{_escape(cls)}"/>'
             yield "</entity>"
         else:

@@ -247,8 +247,9 @@ class TestAddEdge:
         (lambda: OmittedNode(""), "invalid node id ''"),
         (lambda: EntityNode("e", "v", ["k", ""]), "entity class name must be non-empty"),
         (lambda: ConceptDefinition(""), "concept definition name must be non-empty"),
+        (lambda: RoleSpec(""), "role name must be non-empty"),
     ], ids=["role-name", "role-index", "concept-name", "concept-id", "entity-value",
-            "omitted-id", "entity-class", "definition-name"])
+            "omitted-id", "entity-class", "definition-name", "role-spec-name"])
     def test_record_faults_are_graph_errors(self, build, message):
         with pytest.raises(GraphError) as exc:
             build()
@@ -331,6 +332,23 @@ class TestValidate:
             check(g)
         assert (type(exc.value), exc.value.code, str(exc.value)) == (
             GraphError, None, f"node key {key!r} is not the id of its node 'n1'")
+
+    @pytest.mark.parametrize("check", [
+        validate, lambda g: validate(g, ConceptCatalogue(), "strict"), to_xml, to_dot,
+    ], ids=["lax", "strict", "to_xml", "to_dot"])
+    def test_reassigned_edge_source_is_a_graph_error(self, check):
+        # The writers read edges by the source they were added under, so a
+        # reassigned source would write the edge under its old node.
+        g = SemanticGraph()
+        a, b, c = g.add_concept("A"), g.add_concept("B"), g.add_concept("C")
+        e = g.add_edge(a, "r", c)
+        g.add_edge(b, "r", c)
+        e.source = b
+        with pytest.raises(GraphError) as exc:
+            check(g)
+        assert (type(exc.value), exc.value.code, str(exc.value)) == (
+            GraphError, None, "edge 'n2 -r-> n3' is listed under source 'n1';"
+            " an edge's source may not be reassigned")
 
     def test_purity(self):
         g = SemanticGraph()

@@ -19,6 +19,7 @@ from semgraph.model import (
     validate,
 )
 from semgraph import xmlio
+from semgraph.dot import to_dot
 from semgraph.xmlio import (
     XmlError,
     XmlSchemaError,
@@ -121,6 +122,17 @@ class TestToXml:
         catalogue = ConceptCatalogue([ConceptDefinition("A", [RoleSpec(char)])])
         with pytest.raises(GraphError, match=f"U\\+{ord(char):04X}"):
             catalogue_to_xml(catalogue)
+
+    def test_class_name_emptied_after_construction_is_refused(self):
+        # The classes list is not frozen; from_xml would reject the empty name.
+        g = SemanticGraph()
+        g.add_entity("x", ["k"])
+        g.nodes[g.add_entity("v", ["k"])].classes.append("")
+        assert validate(g) == []
+        with pytest.raises(GraphError) as exc:
+            to_xml(g)
+        assert str(exc.value) == "empty class name on entity 'n2'"
+        assert '"n2" [shape=ellipse, label="k\\n\\nv"];' in to_dot(g)
 
     def test_ids_and_targets_are_written_as_they_are(self, monkeypatch):
         g = SemanticGraph()
@@ -355,6 +367,33 @@ class TestCatalogueXml:
         assert restored.get("Event").role("subEvent").indexed
         assert not restored.get("Plain").role("r").indexed
         assert catalogue_to_xml(restored) == document
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(st.dictionaries(
+        st.text(min_size=1),
+        st.dictionaries(st.text(st.sampled_from("ab\x00&\n") | st.characters(), min_size=1),
+                        st.booleans(), max_size=4),
+        max_size=4))
+    def test_any_catalogue_round_trips_or_is_refused(self, spec):
+        # Whatever the API accepts, the writer writes only what the reader reads.
+        catalogue = ConceptCatalogue(
+            ConceptDefinition(name, [RoleSpec(role, indexed) for role, indexed in roles.items()])
+            for name, roles in spec.items())
+        try:
+            document = catalogue_to_xml(catalogue)
+        except GraphError:
+            assert not all(map(_xml_char, "".join(spec) + "".join(
+                role for roles in spec.values() for role in roles)))
+            return
+        restored = catalogue_from_xml(document)
+        assert {name: [(r.name, r.indexed) for r in d.roles]
+                for name, d in restored.entries.items()} == {
+            name: list(roles.items()) for name, roles in spec.items()}
+        assert catalogue_to_xml(restored) == document
+
+    def test_empty_role_name_cannot_be_written(self):
+        with pytest.raises(GraphError, match="^role name must be non-empty$"):
+            catalogue_to_xml(ConceptCatalogue([ConceptDefinition("A", [RoleSpec("")])]))
 
     def test_entries_sorted_by_name(self):
         catalogue = ConceptCatalogue([ConceptDefinition("Zeta"), ConceptDefinition("Alpha")])
