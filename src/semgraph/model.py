@@ -312,7 +312,7 @@ def add_planned_edges(graph: SemanticGraph,
     with its existing ones of the same role names, break the slot rule. Each
     source's slots are checked once per call.
     """
-    labels: dict[tuple[str, int | None], RoleLabel] = {}  # the call's label per pair
+    labels: dict[tuple[str, int | None], RoleLabel] = {}  # (name, index) -> its one label
     groups: dict[tuple[str, str], list[Edge]] = {}
     new: dict[str, list[Edge]] = {}  # source -> its new edges
     for source, label, target in planned:
@@ -501,8 +501,8 @@ def validate(graph: SemanticGraph, catalogue: ConceptCatalogue | None = None,
     its source concept, and indexed edges appear exactly on indexed roles.
     Entity class names are not checked against the catalogue. A
     ``graph.nodes`` key that is not its node's id, or an edge whose
-    ``source`` is not the node it was added under, is a construction fault,
-    not a violation: it raises ``GraphError``.
+    ``source`` was reassigned after the edge was added, is a construction
+    fault, not a violation: it raises ``GraphError``.
     """
     if mode not in ("lax", "strict"):
         raise ValueError(f"unknown validation mode: {mode!r}")

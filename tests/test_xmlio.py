@@ -370,30 +370,27 @@ class TestCatalogueXml:
 
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
     @given(st.dictionaries(
-        st.text(min_size=1),
-        st.dictionaries(st.text(st.sampled_from("ab\x00&\n") | st.characters(), min_size=1),
+        st.text(),
+        st.dictionaries(st.text(st.sampled_from("ab\x00&\n") | st.characters()),
                         st.booleans(), max_size=4),
         max_size=4))
+    @example({"A": {"": False}})
     def test_any_catalogue_round_trips_or_is_refused(self, spec):
-        # Whatever the API accepts, the writer writes only what the reader reads.
-        catalogue = ConceptCatalogue(
-            ConceptDefinition(name, [RoleSpec(role, indexed) for role, indexed in roles.items()])
-            for name, roles in spec.items())
+        # A catalogue is refused when it is built or written, or else the
+        # reader reads back what the writer wrote.
         try:
-            document = catalogue_to_xml(catalogue)
+            document = catalogue_to_xml(ConceptCatalogue(
+                ConceptDefinition(name, [RoleSpec(*role) for role in roles.items()])
+                for name, roles in spec.items()))
         except GraphError:
-            assert not all(map(_xml_char, "".join(spec) + "".join(
-                role for roles in spec.values() for role in roles)))
+            names = [*spec, *(role for roles in spec.values() for role in roles)]
+            assert not all(name and all(map(_xml_char, name)) for name in names)
             return
         restored = catalogue_from_xml(document)
         assert {name: [(r.name, r.indexed) for r in d.roles]
                 for name, d in restored.entries.items()} == {
             name: list(roles.items()) for name, roles in spec.items()}
         assert catalogue_to_xml(restored) == document
-
-    def test_empty_role_name_cannot_be_written(self):
-        with pytest.raises(GraphError, match="^role name must be non-empty$"):
-            catalogue_to_xml(ConceptCatalogue([ConceptDefinition("A", [RoleSpec("")])]))
 
     def test_entries_sorted_by_name(self):
         catalogue = ConceptCatalogue([ConceptDefinition("Zeta"), ConceptDefinition("Alpha")])
