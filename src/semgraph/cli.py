@@ -195,8 +195,18 @@ def _cmd_convert(args) -> int:
     return 0
 
 
+def _field(text: str) -> str:
+    """``text`` with a backslash, tab, CR or LF written as ``\\\\``, ``\\t``,
+    ``\\r`` or ``\\n``, so that it stays one field of one line."""
+    if "\\" not in text and "\t" not in text and "\n" not in text and "\r" not in text:
+        return text
+    text = text.replace("\\", "\\\\").replace("\t", "\\t")
+    return text.replace("\r", "\\r").replace("\n", "\\n")
+
+
 def _violation_line(violation: model.Violation) -> str:
-    return f"{violation.code}\t{violation.subject}\t{violation.message}"
+    """``CODE<TAB>subject<TAB>message``, each field escaped by ``_field``."""
+    return "\t".join(map(_field, (violation.code, str(violation.subject), violation.message)))
 
 
 def _cmd_validate(args) -> int:

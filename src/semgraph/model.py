@@ -4,7 +4,7 @@ catalogues and the structural/catalogue validation rules."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
@@ -130,16 +130,15 @@ class ConceptNode:
 
 @dataclass(frozen=True, slots=True)
 class EntityNode:
-    """Leaf node for an instance: a value plus the classes it belongs to.
-
-    The fields cannot be reassigned, but ``classes`` is a list that the XML
-    reader appends to."""
+    """Leaf node for an instance: a value plus the classes it belongs to."""
 
     id: str
     value: str
-    classes: list[str] = field(default_factory=list)
+    classes: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.classes, tuple):
+            object.__setattr__(self, "classes", tuple(self.classes))
         _check_id(self.id)
         if not self.value:
             raise GraphError("entity value must be non-empty")
@@ -251,32 +250,33 @@ class SemanticGraph:
         return self._out
 
     def _fresh_id(self) -> str:
+        """The next free id, not yet taken: each ``add_*`` advances the counter
+        once its node is in ``nodes``, so a node whose checks fail takes none."""
         while True:
-            self._id_counter += 1
-            node_id = f"n{self._id_counter}"
+            node_id = f"n{self._id_counter + 1}"
             if node_id not in self.nodes:
                 return node_id
+            self._id_counter += 1
 
     def add_concept(self, name: str) -> str:
         """Add a concept node and return its id. Duplicate names are allowed."""
-        if not name:
-            raise GraphError("concept name must be non-empty")
         node = ConceptNode(self._fresh_id(), name)
         self.nodes[node.id] = node
+        self._id_counter += 1
         return node.id
 
     def add_entity(self, value: str, classes: Iterable[str] = ()) -> str:
         """Add an entity leaf with the given value and class names (kept in order)."""
-        if not value:
-            raise GraphError("entity value must be non-empty")
-        node = EntityNode(self._fresh_id(), value, list(classes))
+        node = EntityNode(self._fresh_id(), value, classes)
         self.nodes[node.id] = node
+        self._id_counter += 1
         return node.id
 
     def add_omitted(self) -> str:
         """Add an omitted-node leaf and return its id."""
         node = OmittedNode(self._fresh_id())
         self.nodes[node.id] = node
+        self._id_counter += 1
         return node.id
 
     def add_edge(self, source: str, label: RoleLabel | str, target: str) -> Edge:
@@ -348,7 +348,7 @@ def _copy_node_into(out: SemanticGraph, node: Node) -> str:
     if isinstance(node, ConceptNode):
         return out.add_concept(node.name)
     if isinstance(node, EntityNode):
-        return out.add_entity(node.value, list(node.classes))
+        return out.add_entity(node.value, node.classes)
     return out.add_omitted()
 
 
@@ -434,15 +434,17 @@ class RoleSpec:
             raise GraphError("role name must be non-empty")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConceptDefinition:
     """Declares a concept name together with the roles it may fill."""
 
     name: str
-    roles: list[RoleSpec] = field(default_factory=list)
+    roles: tuple[RoleSpec, ...] = ()
     description: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.roles, tuple):
+            object.__setattr__(self, "roles", tuple(self.roles))
         if not self.name:
             raise GraphError("concept definition name must be non-empty")
         seen = set()

@@ -4,7 +4,7 @@ Writing is byte-deterministic: nodes are sorted by id (byte order), a
 concept's role elements keep edge insertion order, and attribute layout is
 fixed. Reading accepts any well-formed layout of the same element grammar.
 It is one pass of expat: the nodes, role edges and catalogue entries are
-built in its start-tag handler, and no element tree is kept. Nor is any
+built in its tag handlers, each once, and no element tree is kept. Nor is any
 location: an error takes its (line, column) from the parser as it is raised,
 or from a second parse if the fault is stray text or an unresolved target.
 """
@@ -78,8 +78,7 @@ def to_xml(graph: SemanticGraph) -> str:
     """Serialize a graph that passes lax validation to its canonical XML form.
 
     Raises ``GraphError`` for a name, value or class name holding a character
-    that XML cannot carry (see ``_UNCARRIED``), and for an empty class name,
-    which ``from_xml`` would reject."""
+    that XML cannot carry (see ``_UNCARRIED``)."""
     return "".join(_xml_parts(graph))
 
 
@@ -116,8 +115,6 @@ def _xml_parts(graph: SemanticGraph) -> Iterator[str]:
                 continue
             yield head + ">"
             for cls in node.classes:
-                if not cls:  # the list may be appended to after construction
-                    raise GraphError(f"empty class name on entity '{node_id}'")
                 yield f'<class name="{_escape(cls)}"/>'
             yield "</entity>"
         else:
@@ -186,10 +183,10 @@ def _parse(parser, text: str) -> None:
 
 
 def _read(text: str, grammar: dict[str, tuple], root: str,
-          start: Callable[[str, dict], None]) -> None:
+          start: Callable[[str, dict], None], element: str, end: Callable[[], None]) -> None:
     """Parse ``text`` in one expat pass, checking the element grammar and the
     root's version, and call ``start(name, attributes)`` at each start tag
-    below the root.
+    below the root and ``end()`` at each end tag of ``element``.
 
     ``start`` reads every required attribute of the element before any check
     of its own: an element whose attribute count is right but whose names are
@@ -234,6 +231,10 @@ def _read(text: str, grammar: dict[str, tuple], root: str,
         except XmlSchemaError as exc:
             raise fault(exc.reason) from None
 
+    def on_end(name):
+        if open_elements.pop() == element:
+            end()
+
     def on_text(data):
         if data.strip():
             raise XmlSchemaError(f"unexpected text content in element '{open_elements[-1]}'")
@@ -243,7 +244,7 @@ def _read(text: str, grammar: dict[str, tuple], root: str,
         raise XmlSchemaError(_DOCTYPE, *line_col(text, _PROLOG_RE.match(text).end()))
 
     parser.StartElementHandler = on_root
-    parser.EndElementHandler = lambda name: open_elements.pop()
+    parser.EndElementHandler = on_end
     parser.CharacterDataHandler = on_text
     parser.StartDoctypeDeclHandler = on_doctype
     try:
@@ -319,9 +320,11 @@ def from_xml(text: str) -> SemanticGraph:
     nodes, edges = graph.nodes, graph.edges
     labels: dict[tuple[str, str | None], RoleLabel] = {}  # one per (name, index text)
     source = ""  # id of the node element the parser is in
+    value = ""  # the name or value on that element
+    classes: list[str] = []  # of the entity element the parser is in
 
     def start(name, attributes):
-        nonlocal source
+        nonlocal source, value
         if name == "role":
             key = (attributes["name"], attributes.get("index"))
             target = attributes["target"]
@@ -333,7 +336,7 @@ def from_xml(text: str) -> SemanticGraph:
             cls = attributes["name"]
             if not cls:
                 raise XmlSchemaError(f"empty class name on entity '{source}'")
-            nodes[source].classes.append(cls)
+            classes.append(cls)
         else:
             node_id = attributes["id"]
             value = (attributes["name"] if name == "concept" else
@@ -349,12 +352,18 @@ def from_xml(text: str) -> SemanticGraph:
             elif name == "entity":
                 if not value:
                     raise XmlSchemaError(f"empty entity value on node '{node_id}'")
-                nodes[node_id] = EntityNode(node_id, value)
+                # Made at the end tag, once its classes are read; the key is
+                # taken now, so that nodes keep document order.
+                nodes[node_id] = None
+                classes.clear()
             else:
                 nodes[node_id] = OmittedNode(node_id)
             source = node_id
 
-    _read(text, _GRAPH, "semanticgraph", start)
+    def end():
+        nodes[source] = EntityNode(source, value, tuple(classes))
+
+    _read(text, _GRAPH, "semanticgraph", start, "entity", end)
     for k, edge in enumerate(edges):
         if edge.target not in nodes:
             raise XmlSchemaError(f"role target references unknown id '{edge.target}'",
@@ -389,31 +398,31 @@ def catalogue_to_xml(catalogue: ConceptCatalogue) -> str:
 def catalogue_from_xml(text: str) -> ConceptCatalogue:
     """Parse a concept catalogue document."""
     catalogue = ConceptCatalogue()
-    definition = None  # of the concept element the parser is in
-    role_names: set[str] = set()  # of that concept
+    concept = ""  # name of the concept element the parser is in
+    roles: dict[str, RoleSpec] = {}  # of that concept, by name
 
     def start(name, attributes):
-        nonlocal definition
+        nonlocal concept
         if name == "concept":
             concept = attributes["name"]
             if not concept:
                 raise XmlSchemaError("empty concept name in catalogue")
             if concept in catalogue:
                 raise XmlSchemaError(f"duplicate concept '{concept}' in catalogue")
-            definition = ConceptDefinition(concept)
-            catalogue.define(definition)
-            role_names.clear()
+            roles.clear()
             return
         role = attributes["name"]
         if not role:
-            raise XmlSchemaError(f"empty role name in concept '{definition.name}'")
-        if role in role_names:
-            raise XmlSchemaError(f"role '{role}' declared twice in concept '{definition.name}'")
-        role_names.add(role)
+            raise XmlSchemaError(f"empty role name in concept '{concept}'")
+        if role in roles:
+            raise XmlSchemaError(f"role '{role}' declared twice in concept '{concept}'")
         indexed = attributes.get("indexed", "false")
         if indexed not in ("true", "false"):
             raise XmlSchemaError(f"indexed must be 'true' or 'false', got {indexed!r}")
-        definition.roles.append(RoleSpec(role, indexed == "true"))
+        roles[role] = RoleSpec(role, indexed == "true")
 
-    _read(text, _CATALOGUE, "catalogue", start)
+    def end():
+        catalogue.define(ConceptDefinition(concept, tuple(roles.values())))
+
+    _read(text, _CATALOGUE, "catalogue", start, "concept", end)
     return catalogue

@@ -14,7 +14,7 @@ from semgraph.dot import to_dot
 from semgraph.kg import events_to_graph, parse_turtle
 from semgraph.model import merge, validate
 from semgraph.penman import amr_to_graph, parse_penman_file
-from semgraph.xmlio import catalogue_to_xml, from_xml, to_xml
+from semgraph.xmlio import catalogue_from_xml, catalogue_to_xml, from_xml, to_xml
 from semgraph.conll import causation_catalogue, causation_to_graph, parse_conll
 
 TTL = """\
@@ -213,6 +213,36 @@ class TestValidateCommand:
         path = tmp_path / "ok.xml"
         path.write_text('<semanticgraph version="1"/>', encoding="utf-8")
         assert main(["validate", "--strict", str(path)]) == 3
+
+    def test_each_violation_is_one_line_of_three_escaped_fields(self, tmp_path, capsys):
+        graph_path = tmp_path / "g.xml"
+        graph_path.write_text(
+            '<semanticgraph version="1"><concept id="n1" name="a&#10;b\\c&#13;"/>'
+            '<concept id="n2" name="K&#9;L"><role name="r&#9;s" target="n1"/>'
+            '<role name="r&#9;s" target="n1"/></concept></semanticgraph>', encoding="utf-8")
+        cat_path = tmp_path / "cat.xml"
+        cat_path.write_text('<catalogue version="1"><concept name="K&#9;L"/></catalogue>',
+                            encoding="utf-8")
+        graph = from_xml(graph_path.read_text(encoding="utf-8"))
+        catalogue = catalogue_from_xml(cat_path.read_text(encoding="utf-8"))
+        assert [v.code for v in validate(graph, catalogue, "strict")] == [
+            "DUPLICATE_ROLE_SLOT", "UNKNOWN_CONCEPT", "UNKNOWN_ROLE", "UNKNOWN_ROLE"]
+        strict = ["validate", "--strict", "--catalogue", str(cat_path), str(graph_path)]
+        for args, mode, stream in [(["validate", str(graph_path)], "lax", "out"),
+                                   (strict, "strict", "out"),
+                                   (["render", str(graph_path)], "lax", "err")]:
+            assert main(args) == 1
+            text = getattr(capsys.readouterr(), stream)
+            lines = text.splitlines()  # which a CR or LF in a field would split
+            assert text == "".join(line + "\n" for line in lines)
+            assert [tuple(map(unescape, line.split("\t"))) for line in lines] == [
+                (v.code, str(v.subject), v.message) for v in validate(graph, catalogue, mode)]
+
+
+def unescape(field: str) -> str:
+    """A violation line's field as it was before the CLI escaped it."""
+    return re.sub(r"\\(.)", lambda m: {"\\": "\\", "t": "\t", "r": "\r", "n": "\n"}[m[1]],
+                  field)
 
 
 class TestRender:
@@ -499,6 +529,32 @@ class TestUtf8Stdout:
         assert done.returncode == code
         assert done.stderr == b""  # no traceback
         assert line in done.stdout.decode("utf-8").splitlines()
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+class TestPythonDashM:
+    """``python -m semgraph`` runs ``main`` as the console script does."""
+
+    @staticmethod
+    def run(args: list[str]) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "semgraph", *args], capture_output=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+
+    def test_convert_gives_the_bytes_and_exit_code_of_main(self, tmp_path, capsys):
+        path = tmp_path / "in.amr"
+        path.write_text(AMR, encoding="utf-8")
+        args = ["convert", "--from", "amr", "--to", "xml", str(path)]
+        done = self.run(args)
+        assert (done.returncode, done.stderr) == (main(args), b"")
+        assert done.stdout == capsys.readouterr().out.encode("utf-8")
+
+    def test_usage_error_exits_three_without_a_traceback(self):
+        done = self.run(["convert", "--from", "amr"])
+        assert done.returncode == 3
+        assert done.stderr.startswith(b"usage: semgraph ")
+        assert b"Traceback" not in done.stderr
 
 
 DEPTH = 20_000

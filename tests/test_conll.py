@@ -205,7 +205,7 @@ class TestCausationToGraph:
         assert len(cause_edges) == 1
         cause_entity = g.nodes[cause_edges[0].target]
         assert cause_entity.value == "la pioggia"
-        assert cause_entity.classes == ["UnanalysedSubtree"]
+        assert cause_entity.classes == ("UnanalysedSubtree",)
         effect_edges = [e for e in g.out_edges(by_name["Causation"])
                         if e.label.name == "effect"]
         assert g.nodes[effect_edges[0].target].value == "la strada bagnata"

@@ -58,18 +58,39 @@ class TestAddConcept:
         assert len(g.nodes) == 2
 
 
+@pytest.mark.parametrize("fail", [
+    lambda g: g.add_concept(""),
+    lambda g: g.add_entity(""),
+    lambda g: g.add_entity("v", [""]),
+], ids=["concept-name", "entity-value", "entity-class"])
+def test_a_failed_add_takes_no_id(fail):
+    g = SemanticGraph()
+    with pytest.raises(GraphError):
+        fail(g)
+    assert g.nodes == {}
+    assert g.add_concept("A") == "n1"
+    with pytest.raises(GraphError):
+        fail(g)
+    assert g.add_omitted() == "n2"
+
+
+def test_fresh_ids_skip_ids_already_taken():
+    g = from_xml('<semanticgraph version="1"><omitted id="n2"/></semanticgraph>')
+    assert [g.add_omitted(), g.add_omitted(), g.add_omitted()] == ["n1", "n3", "n4"]
+
+
 class TestAddEntity:
     def test_value_and_classes(self):
         g = SemanticGraph()
         node_id = g.add_entity("4", ["5-level degree"])
         node = g.nodes[node_id]
         assert node.value == "4"
-        assert node.classes == ["5-level degree"]
+        assert node.classes == ("5-level degree",)
 
     def test_classless_entity(self):
         g = SemanticGraph()
         node_id = g.add_entity("wd:Q1073320", [])
-        assert g.nodes[node_id].classes == []
+        assert g.nodes[node_id].classes == ()
 
     def test_empty_value_rejected(self):
         g = SemanticGraph()
@@ -79,7 +100,19 @@ class TestAddEntity:
     def test_class_order_preserved(self):
         g = SemanticGraph()
         node_id = g.add_entity("x", ["B", "A", "C"])
-        assert g.nodes[node_id].classes == ["B", "A", "C"]
+        assert g.nodes[node_id].classes == ("B", "A", "C")
+
+    def test_classes_are_a_tuple_of_their_own(self):
+        classes = ["A"]
+        g = SemanticGraph()
+        node = g.nodes[g.add_entity("x", classes)]
+        classes.append("")
+        assert node.classes == ("A",)
+        assert EntityNode("n1", "v", iter(["B"])).classes == ("B",)
+        given = ("C",)
+        assert EntityNode("n1", "v", given).classes is given
+        with pytest.raises(AttributeError):
+            node.classes.append("")
 
     @pytest.mark.parametrize("classes", [[""], ["A", ""]])
     def test_empty_class_name_rejected(self, classes):
@@ -739,6 +772,19 @@ class TestCatalogue:
     def test_duplicate_role_names_rejected(self):
         with pytest.raises(GraphError):
             ConceptDefinition("A", [RoleSpec("r"), RoleSpec("r", indexed=True)])
+
+    def test_definitions_are_frozen_with_a_tuple_of_roles(self):
+        # Either change would make catalogue_to_xml write a catalogue that
+        # catalogue_from_xml rejects.
+        roles = [RoleSpec("r")]
+        definition = ConceptDefinition("A", roles)
+        roles.append(RoleSpec("r"))
+        assert definition.roles == (RoleSpec("r"),)
+        with pytest.raises(AttributeError):
+            definition.roles.append(RoleSpec("r"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ConceptDefinition("A").name = ""
+        assert ConceptDefinition("A").roles == ()
 
 
 @given(st.integers(0, 10**9))

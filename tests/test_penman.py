@@ -186,7 +186,7 @@ class TestAmrToGraph:
         assert len(g.nodes) == 2
         entity = [n for n in g.nodes.values() if isinstance(n, EntityNode)][0]
         assert entity.value == "55"
-        assert entity.classes == []
+        assert entity.classes == ()
         edge = g.edges[0]
         assert edge.label.name == "quant"
         assert edge.target == entity.id

@@ -98,7 +98,7 @@ class TestUccaToGraph:
         entities = [n for n in g.nodes.values() if isinstance(n, EntityNode)]
         assert {c.name for c in concepts} == {"UCCA.Unit"}
         assert len(concepts) == 2
-        assert all(e.classes == ["UCCA.Terminal"] for e in entities)
+        assert all(e.classes == ("UCCA.Terminal",) for e in entities)
         assert sorted(e.value for e in entities) == ["Golf", "a passion", "became"]
 
     def test_counts_preserved(self):

@@ -123,16 +123,14 @@ class TestToXml:
         with pytest.raises(GraphError, match=f"U\\+{ord(char):04X}"):
             catalogue_to_xml(catalogue)
 
-    def test_class_name_emptied_after_construction_is_refused(self):
-        # The classes list is not frozen; from_xml would reject the empty name.
+    def test_classes_cannot_be_appended_to(self):
+        # So no empty class name, which from_xml rejects, can reach the writer.
         g = SemanticGraph()
-        g.add_entity("x", ["k"])
-        g.nodes[g.add_entity("v", ["k"])].classes.append("")
-        assert validate(g) == []
-        with pytest.raises(GraphError) as exc:
-            to_xml(g)
-        assert str(exc.value) == "empty class name on entity 'n2'"
-        assert '"n2" [shape=ellipse, label="k\\n\\nv"];' in to_dot(g)
+        node = g.nodes[g.add_entity("v", ["k"])]
+        with pytest.raises(AttributeError):
+            node.classes.append("")
+        assert to_xml(g) == ('<semanticgraph version="1"><entity id="n1" value="v">'
+                             '<class name="k"/></entity></semanticgraph>')
 
     def test_ids_and_targets_are_written_as_they_are(self, monkeypatch):
         g = SemanticGraph()
@@ -250,6 +248,17 @@ class TestFromXml:
         document = ('<semanticgraph version="1"><concept id="k9" name="X"/>'
                     '</semanticgraph>')
         assert "k9" in from_xml(document).nodes
+
+    def test_entity_is_made_once_with_its_classes_in_document_order(self):
+        document = ('<semanticgraph version="1"><omitted id="z"/>'
+                    '<entity id="e" value="v"><class name="a"/><role name="r" target="z"/>'
+                    '<class name="b"/></entity><entity id="f" value="w"/>'
+                    '<concept id="c" name="X"/></semanticgraph>')
+        g = from_xml(document)
+        assert list(g.nodes) == ["z", "e", "f", "c"]
+        assert g.nodes["e"].classes == ("a", "b")
+        assert g.nodes["f"].classes == ()
+        assert g.edges == [Edge("e", RoleLabel("r"), "z")]
 
 
 def _base_document() -> str:
@@ -396,6 +405,15 @@ class TestCatalogueXml:
         catalogue = ConceptCatalogue([ConceptDefinition("Zeta"), ConceptDefinition("Alpha")])
         document = catalogue_to_xml(catalogue)
         assert document.index("Alpha") < document.index("Zeta")
+
+    def test_definition_is_made_once_with_its_roles(self):
+        document = ('<catalogue version="1"><concept name="A"><role name="r"/>'
+                    '<role name="s" indexed="true"/></concept><concept name="B"/></catalogue>')
+        catalogue = catalogue_from_xml(document)
+        assert catalogue.entries == {
+            "A": ConceptDefinition("A", (RoleSpec("r"), RoleSpec("s", True))),
+            "B": ConceptDefinition("B")}
+        assert type(catalogue.get("A").roles) is tuple
 
     def test_duplicate_role_in_file_rejected(self):
         document = ('<catalogue version="1"><concept name="A">'
