@@ -19,7 +19,6 @@ from semgraph.model import (
     validate,
 )
 from semgraph import xmlio
-from semgraph.dot import to_dot
 from semgraph.xmlio import (
     XmlError,
     XmlSchemaError,
