@@ -13,10 +13,11 @@ import io
 import itertools
 import os
 import sys
-import tempfile
 from typing import Iterator
 
-from . import conll, dot, kg, model, penman, ucca, xmlio
+# A frontend is imported by the conversion that reads its format, so that a
+# command loads only the one it runs.
+from . import dot, model, xmlio
 
 
 def _non_empty(value: str) -> str:
@@ -107,6 +108,8 @@ def _write(output: str | None, parts: Iterator[str]) -> None:
     if output is None:
         sys.stdout.writelines(parts)
         return
+    import tempfile  # only -o needs it
+
     umask = os.umask(0)
     os.umask(umask)
     tmp = None
@@ -138,19 +141,11 @@ def _numbered(path: str, i: int) -> str:
     return f"{stem}-{i:02d}{ext}"
 
 
-# The formats whose files hold many units (AMR trees, CoNLL sentences): each
-# one's lazy reader, and how one unit is added into a graph.
-_UNIT_READERS = {
-    "amr": (lambda text, lang: penman._penman_trees(text),
-            lambda graph, tree: penman._to_graph(graph, [tree], [])),
-    "conll": (conll._conll_sentences, conll._add_causation),
-}
-
-
 def _build(units: Iterator, add, combine: bool) -> list[model.SemanticGraph]:
-    """Add each unit as soon as it is read, so that no unit outlives its
-    turn: into one shared graph when combining, else each into a fresh one.
-    ``[]`` if there was no unit."""
+    """Add each unit of a file that holds many (AMR trees, CoNLL sentences)
+    as soon as it is read, so that no unit outlives its turn: into one shared
+    graph when combining, else each into a fresh one. ``[]`` if there was no
+    unit."""
     graphs: list[model.SemanticGraph] = []
     for unit in units:
         if not (combine and graphs):
@@ -165,16 +160,23 @@ def _build(units: Iterator, add, combine: bool) -> list[model.SemanticGraph]:
 
 
 def _convert_units(source: str, text: str, lang: str, combine: bool) -> list[model.SemanticGraph]:
-    if source in _UNIT_READERS:
-        read, add = _UNIT_READERS[source]
-        return _build(read(text, lang), add, combine)
+    if source == "amr":
+        from . import penman
+        return _build(penman._penman_trees(text),
+                      lambda graph, tree: penman._to_graph(graph, [tree], []), combine)
     if source == "umr":
+        from . import penman
         return [penman.umr_to_graph(penman.parse_umr_document(text))]
+    if source == "conll":
+        from . import conll
+        return _build(conll._conll_sentences(text, lang), conll._add_causation, combine)
     if source == "ttl":
+        from . import kg
         store = kg.parse_turtle(text)
         if combine:
             return [kg.events_to_graph(store)]
         return [kg.events_to_graph(sub) for sub in kg.split_events(store)]
+    from . import ucca
     return [ucca.ucca_to_graph(ucca.parse_ucca(text))]
 
 
@@ -268,7 +270,3 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if enabled:
             gc.enable()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -375,13 +375,17 @@ def catalogue_to_xml(catalogue: ConceptCatalogue) -> str:
     """Serialize a catalogue; entries are sorted by concept name.
 
     Definition descriptions are not part of the exchange format and are
-    dropped on write.
+    dropped on write. An ``entries`` key that is not its definition's name is
+    a construction fault: it raises ``GraphError``.
     """
     if not catalogue.entries:
         return '<catalogue version="1"/>'
     parts = ['<catalogue version="1">']
     for name in sorted(catalogue.entries):
         definition = catalogue.entries[name]
+        if name != definition.name:
+            raise GraphError(f"catalogue key {name!r} is not the name of its definition"
+                             f" {definition.name!r}")
         head = f'<concept name="{_escape(name)}"'
         if not definition.roles:
             parts.append(head + "/>")

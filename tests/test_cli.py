@@ -557,6 +557,50 @@ class TestPythonDashM:
         assert b"Traceback" not in done.stderr
 
 
+# Runs ``main`` on its arguments, if any, after importing the CLI, then
+# prints its exit code and the package's modules that are loaded.
+LOADED = ("import sys, semgraph.cli;"
+          " code = semgraph.cli.main(sys.argv[1:]) if sys.argv[1:] else 0;"
+          " print(code, *sorted(m for m in sys.modules if m.startswith('semgraph.')))")
+CORE = ["semgraph.cli", "semgraph.dot", "semgraph.model", "semgraph.xmlio"]
+
+
+class TestImportsOnlyWhatItRuns:
+    """A command loads no frontend but the one that reads its input, counted
+    in ``sys.modules`` of a fresh interpreter rather than timed."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        for source, text in TestByteOrderMark.INPUTS.items():
+            (tmp_path / f"in.{source}").write_text(text, encoding="utf-8")
+        (tmp_path / "g.xml").write_text(
+            '<semanticgraph version="1"><concept id="a" name="A"/></semanticgraph>\n',
+            encoding="utf-8")
+        (tmp_path / "c.xml").write_text('<catalogue version="1"><concept name="A"/></catalogue>\n',
+                                        encoding="utf-8")
+        return tmp_path
+
+    @pytest.mark.parametrize("args,frontend", [
+        ([], None),
+        (["validate", "g.xml"], None),
+        (["validate", "--strict", "--catalogue", "c.xml", "g.xml"], None),
+        (["render", "g.xml"], None),
+        (["catalogue", "list", "c.xml"], None),
+        *((["convert", "--from", source, "--to", "xml", f"in.{source}"], module)
+          for source, module in [("amr", "penman"), ("umr", "penman"), ("ttl", "kg"),
+                                 ("conll", "conll"), ("ucca", "ucca")]),
+    ], ids=["import", "validate", "validate-strict", "render", "catalogue-list",
+            "convert-amr", "convert-umr", "convert-ttl", "convert-conll", "convert-ucca"])
+    def test_loads_only_the_frontend_it_reads(self, files, args, frontend):
+        done = subprocess.run([sys.executable, "-c", LOADED, *args], cwd=files,
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert done.stderr == ""
+        code, *loaded = done.stdout.splitlines()[-1].split()
+        assert code == "0"
+        assert loaded == sorted(CORE + ([f"semgraph.{frontend}"] if frontend else []))
+
+
 DEPTH = 20_000
 # A root with DEPTH nested nodes under it: DEPTH + 1 concepts.
 DEEP_AMR = "".join(f"(a{i} / x :r " for i in range(DEPTH)) + f"(a{DEPTH} / x" + ")" * (DEPTH + 1)

@@ -400,6 +400,15 @@ class TestCatalogueXml:
             name: list(roles.items()) for name, roles in spec.items()}
         assert catalogue_to_xml(restored) == document
 
+    @pytest.mark.parametrize("key,name", [("", "A"), ("B", "A")], ids=["empty", "other"])
+    def test_key_that_is_not_its_definitions_name_is_refused(self, key, name):
+        catalogue = ConceptCatalogue()
+        catalogue.entries[key] = ConceptDefinition(name)
+        with pytest.raises(GraphError) as caught:
+            catalogue_to_xml(catalogue)
+        assert str(caught.value) == (
+            f"catalogue key {key!r} is not the name of its definition {name!r}")
+
     def test_entries_sorted_by_name(self):
         catalogue = ConceptCatalogue([ConceptDefinition("Zeta"), ConceptDefinition("Alpha")])
         document = catalogue_to_xml(catalogue)
