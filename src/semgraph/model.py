@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 
@@ -159,8 +159,9 @@ class OmittedNode:
 Node = Union[ConceptNode, EntityNode, OmittedNode]
 
 
-@dataclass(slots=True)
-class Edge:
+class Edge(NamedTuple):
+    """A role edge, immutable: it keeps the label and endpoints it was checked with."""
+
     source: str
     label: RoleLabel
     target: str
@@ -304,7 +305,8 @@ def add_planned_edges(graph: SemanticGraph,
     grouped by (source, role name) in first-occurrence order and inserted
     group after group, in one batch that goes in whole or not at all. A group
     is kept as planned if ``_slot_fault`` passes it and it is one member or
-    all-indexed; otherwise it is indexed 1..k in plan order. Frontends use
+    all-indexed; otherwise it is replaced by new edges indexed 1..k in plan
+    order, so no edge changes once made. Frontends use
     this to honour the one-slot-per-role rule when source data repeats a role.
 
     Raises ``GraphError``, and inserts nothing, if an edge has a missing
@@ -314,22 +316,21 @@ def add_planned_edges(graph: SemanticGraph,
     """
     labels: dict[tuple[str, int | None], RoleLabel] = {}  # (name, index) -> its one label
     groups: dict[tuple[str, str], list[Edge]] = {}
-    new: dict[str, list[Edge]] = {}  # source -> its new edges
     for source, label, target in planned:
         if isinstance(label, str):
             label = labels.get((label, None)) or RoleLabel(label)
         label = labels.setdefault((label.name, label.index), label)
-        edge = Edge(source, label, target)
-        groups.setdefault((source, label.name), []).append(edge)
-        new.setdefault(source, []).append(edge)
+        groups.setdefault((source, label.name), []).append(Edge(source, label, target))
     edges: list[Edge] = []
-    for (_, name), group in groups.items():
+    new: dict[str, list[Edge]] = {}  # source -> its new edges
+    for (source, name), group in groups.items():
         if not (len(group) == 1 or (all(e.label.index is not None for e in group)
                                     and _slot_fault(group) is None)):
-            for i, edge in enumerate(group, start=1):
-                label = labels.get((name, i)) or RoleLabel(name, i)
-                edge.label = labels.setdefault((name, i), label)
+            group = [Edge(source, labels.get((name, i))
+                          or labels.setdefault((name, i), RoleLabel(name, i)), e.target)
+                     for i, e in enumerate(group, start=1)]
         edges.extend(group)
+        new.setdefault(source, []).extend(group)
     faults = _endpoint_violations(graph.nodes, edges)
     if faults:
         raise GraphError(faults[0].message, faults[0].code)
@@ -502,9 +503,8 @@ def validate(graph: SemanticGraph, catalogue: ConceptCatalogue | None = None,
     that every concept name is defined, every edge label is a declared role of
     its source concept, and indexed edges appear exactly on indexed roles.
     Entity class names are not checked against the catalogue. A
-    ``graph.nodes`` key that is not its node's id, or an edge whose
-    ``source`` was reassigned after the edge was added, is a construction
-    fault, not a violation: it raises ``GraphError``.
+    ``graph.nodes`` key that is not its node's id is a construction fault,
+    not a violation: it raises ``GraphError``.
     """
     if mode not in ("lax", "strict"):
         raise ValueError(f"unknown validation mode: {mode!r}")
@@ -515,11 +515,6 @@ def validate(graph: SemanticGraph, catalogue: ConceptCatalogue | None = None,
         if key != node.id:
             raise GraphError(f"node key {key!r} is not the id of its node {node.id!r}")
     adjacency = graph._adjacency()
-    for source, out in adjacency.items():  # the writers read edges by source
-        for edge in out:
-            if edge.source != source:
-                raise GraphError(f"edge '{edge}' is listed under source '{source}';"
-                                 " an edge's source may not be reassigned")
     violations = _endpoint_violations(nodes, graph.edges)
     # Each source's slots are checked on its out-edges alone. Only the edges of
     # the sources at fault are keyed below, in ``graph.edges`` order, so that

@@ -22,7 +22,8 @@ class PenmanError(SourceError):
 
 
 class UmrError(SourceError):
-    """Document-level conversion failure."""
+    """Document-level conversion failure, at the line of the sentence or
+    relation at fault where the document records it."""
 
 
 @dataclass
@@ -45,6 +46,7 @@ class PenmanTree:
     root: str
     concepts: dict[str, str]  # variable -> concept label, in definition order
     slots: list[Slot]
+    line: int | None = None  # where parse_umr_document read its first token
 
 
 @dataclass
@@ -52,6 +54,7 @@ class DocRelation:
     source: str
     relation: str
     target: str
+    line: int | None = None  # where parse_umr_document read it
 
 
 @dataclass
@@ -209,21 +212,27 @@ _DOC_RELATION_RE = re.compile(r"\(\s*(\S+)\s+(\S+)\s+(\S+)\s*\)\Z")
 
 
 def parse_umr_document(text: str) -> UmrDocument:
-    """Parse sentence expressions plus ``# doc`` blocks of (source rel target) lines."""
+    """Parse sentence expressions plus ``# doc`` blocks of (source rel target)
+    lines, recording the line each sentence and relation starts on."""
     sentences: list[PenmanTree] = []
     relations: list[DocRelation] = []
+    first, at = 1, 0  # the line number of offset ``at``; a block's lines are consecutive
     for start, end, lines in _blocks(text):
+        first += text.count("\n", at, start)
+        at = start
         if lines[0][1].strip() == "# doc":
-            for offset, line in lines:
+            for lineno, (offset, line) in enumerate(lines, start=first):
                 if not line.lstrip().startswith("#"):
                     match = _DOC_RELATION_RE.match(line.strip())
                     if not match:
                         raise PenmanError("malformed document-level relation", text, offset)
-                    relations.append(DocRelation(*match.groups()))
+                    relations.append(DocRelation(*match.groups(), lineno))
         else:
             tokens = _tokenize(text, start, end)
             if tokens:
-                sentences.append(_parse_tokens(tokens, text, end))
+                tree = _parse_tokens(tokens, text, end)
+                tree.line = first + text.count("\n", start, tokens[0][2])
+                sentences.append(tree)
     return UmrDocument(sentences, relations)
 
 
@@ -269,7 +278,8 @@ def _to_graph(graph: SemanticGraph, sentences: list[PenmanTree],
     for tree in sentences:
         for var in tree.concepts:
             if var in var_defined:
-                raise UmrError(f"variable '{var}' is defined in more than one sentence")
+                raise UmrError(f"variable '{var}' is defined in more than one sentence",
+                               tree.line)
             var_defined.add(var)
     const_tokens = {slot.value for tree in sentences
                     for slot in tree.slots if slot.kind == CONST}
@@ -280,10 +290,10 @@ def _to_graph(graph: SemanticGraph, sentences: list[PenmanTree],
                 promoted.add(relation.source)
             else:
                 raise UmrError(f"document-level source '{relation.source}'"
-                               " does not occur in any sentence")
+                               " does not occur in any sentence", relation.line)
         if relation.target not in var_defined and relation.target not in const_tokens:
             raise UmrError(f"document-level target '{relation.target}'"
-                           " does not occur in any sentence")
+                           " does not occur in any sentence", relation.line)
     var_node: dict[str, str] = {}
     promoted_node: dict[str, str] = {}
     const_entity: dict[str, str] = {}

@@ -386,9 +386,19 @@ class TestExitCodeMatrix:
         (["convert", "--from", "conll", "--to", "xml"],
          "1\ta\ta\tX\t_\t_\t0\td\tB-Cause\n\n# lang = it\n1\tb\tb\tX\t_\t_\t0\td\tO\n",
          "no causation annotation in sentence (line 4)"),
+        (["convert", "--from", "umr", "--to", "xml"],
+         "(a / alpha)\n\n# ::id 2\n(b / beta\n   :ARG0 (a / gamma))\n",
+         "variable 'a' is defined in more than one sentence (line 4)"),
+        (["convert", "--from", "umr", "--to", "xml"],
+         "(a / alpha)\n\n\n# doc\n# note\n(a rel a)\n(zz rel a)\n",
+         "document-level source 'zz' does not occur in any sentence (line 7)"),
+        (["convert", "--from", "umr", "--to", "xml"],
+         "# doc\n(a rel zz)\n\n(a / alpha)\n",
+         "document-level target 'zz' does not occur in any sentence (line 2)"),
     ], ids=["amr", "umr", "ttl", "conll", "ucca", "ucca-vt", "ucca-orphan", "conll-nel",
             "validate", "validate-schema", "ttl-empty-literal", "conll-empty-form",
-            "conll-unannotated"])
+            "conll-unannotated", "umr-variable-twice", "umr-unknown-source",
+            "umr-unknown-target"])
     def test_malformed_input_reports_location(self, tmp_path, capsys, command, text, location):
         source = tmp_path / "bad.txt"
         source.write_text(text, encoding="utf-8")

@@ -107,7 +107,8 @@ def test_mutated_input_fails_cleanly(fmt, tmp_path):
     def check(text):
         try:
             graphs = convert(text)
-        except errors:
+        except errors as exc:
+            assert exc.line is not None, (str(exc), text)
             graphs = []
         for graph in graphs:
             violations = validate(graph)

@@ -12,9 +12,12 @@ from semgraph.model import (
 )
 from semgraph.penman import (
     CONST,
+    DocRelation,
     PenmanError,
+    UmrDocument,
     UmrError,
     amr_to_graph,
+    parse_penman,
     parse_umr_document,
     umr_to_graph,
 )
@@ -130,16 +133,40 @@ class TestUmrToGraph:
         assert g.edges[0].label.name == "same-entity"
 
     def test_unknown_doc_source_rejected(self):
-        with pytest.raises(UmrError):
-            umr_to_graph(parse_umr_document("(a / alpha)\n\n# doc\n(zz rel a)\n"))
+        with pytest.raises(UmrError) as exc:
+            umr_to_graph(parse_umr_document("(a / alpha)\n\n# doc\n(a rel a)\n(zz rel a)\n"))
+        assert (str(exc.value), exc.value.line, exc.value.column) == (
+            "document-level source 'zz' does not occur in any sentence (line 5)", 5, None)
 
     def test_unknown_doc_target_rejected(self):
-        with pytest.raises(UmrError):
+        with pytest.raises(UmrError) as exc:
             umr_to_graph(parse_umr_document("(a / alpha)\n\n# doc\n(a rel zz)\n"))
+        assert (str(exc.value), exc.value.line) == (
+            "document-level target 'zz' does not occur in any sentence (line 4)", 4)
 
     def test_duplicate_variable_across_sentences_rejected(self):
-        with pytest.raises(UmrError):
-            umr_to_graph(parse_umr_document("(a / alpha)\n\n(a / beta)\n"))
+        with pytest.raises(UmrError) as exc:
+            umr_to_graph(parse_umr_document("(a / alpha)\n\n# ::id 2\n\n(a / beta)\n"))
+        assert (str(exc.value), exc.value.line) == (
+            "variable 'a' is defined in more than one sentence (line 5)", 5)
+
+    @pytest.mark.parametrize("document,message", [
+        (UmrDocument([parse_penman("(a / alpha)"), parse_penman("(a / beta)")], []),
+         "variable 'a' is defined in more than one sentence"),
+        (UmrDocument([parse_penman("(a / alpha)")], [DocRelation("zz", "rel", "a")]),
+         "document-level source 'zz' does not occur in any sentence"),
+    ], ids=["variable", "relation"])
+    def test_document_built_without_lines_raises_with_no_location(self, document, message):
+        with pytest.raises(UmrError) as exc:
+            umr_to_graph(document)
+        assert (str(exc.value), exc.value.line) == (message, None)
+
+    def test_lines_are_where_each_sentence_and_relation_starts(self):
+        text = ("# ::id 1\n(a / alpha\n  :ARG0 (b / beta))\n\n\n(c / gamma)\n\n"
+                "# doc\n# note\n(a rel c)\n(c rel b)\n")
+        document = parse_umr_document(text)
+        assert [tree.line for tree in document.sentences] == [2, 6]
+        assert [relation.line for relation in document.relations] == [10, 11]
 
     def test_output_always_lax_valid(self):
         text = ("(s1s / sentence :temporal s1t2 :mod (s1x / thing :quant 4))\n\n"
