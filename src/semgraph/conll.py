@@ -173,7 +173,7 @@ def _add_causation(graph: SemanticGraph, sentence: ConllSentence) -> SemanticGra
     causation_node = graph.add_concept("Causation")
     doc_node = graph.add_concept("LanguageDoc")
     planned = [(sentence_node, "content", causation_node), (sentence_node, "source", doc_node)]
-    entity_of = {span: graph.add_entity(span_text(sentence, span), [UNANALYSED_CLASS])
+    entity_of = {span: graph.add_entity(span_text(sentence, span), (UNANALYSED_CLASS,))
                  for span in spans}
     for label, role in (("Cause", "cause"), ("Effect", "effect")):
         targets = [entity_of[span] for span in spans if span.label == label]

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, NamedTuple, Union
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
@@ -108,11 +109,39 @@ class RoleLabel:
     def __post_init__(self):
         if not self.name:
             raise GraphError("role name must be non-empty")
-        if self.index is not None and self.index < 1:
-            raise GraphError("role index must be >= 1")
+        if self.index is not None:
+            # Not a bool or another int subclass: the writers write the index
+            # as it is, and the readers read back only digits.
+            if type(self.index) is not int:
+                raise GraphError(f"role index must be an int, got {self.index!r}")
+            if self.index < 1:
+                raise GraphError("role index must be >= 1")
 
     def __str__(self) -> str:
         return self.name if self.index is None else f"{self.name}[{self.index}]"
+
+
+# The payload checks of the node records, run by their constructors and by
+# the graph's add_* methods, which make the records without the id check.
+
+
+def _concept_payload(name: str) -> None:
+    if not name:
+        raise GraphError("concept name must be non-empty")
+
+
+def _entity_payload(value: str, classes: Iterable[str]) -> tuple[str, ...]:
+    """Check an entity's value and classes; return the classes as a tuple,
+    ``classes`` itself if it is one."""
+    if type(classes) is not tuple:
+        if isinstance(classes, str):  # would be read as one class per character
+            raise GraphError(f"entity classes must be class names, not the str {classes!r}")
+        classes = tuple(classes)
+    if not value:
+        raise GraphError("entity value must be non-empty")
+    if not all(classes):
+        raise GraphError("entity class name must be non-empty")
+    return classes
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,8 +153,7 @@ class ConceptNode:
 
     def __post_init__(self):
         _check_id(self.id)
-        if not self.name:
-            raise GraphError("concept name must be non-empty")
+        _concept_payload(self.name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,13 +165,10 @@ class EntityNode:
     classes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.classes, tuple):
-            object.__setattr__(self, "classes", tuple(self.classes))
         _check_id(self.id)
-        if not self.value:
-            raise GraphError("entity value must be non-empty")
-        if not all(self.classes):
-            raise GraphError("entity class name must be non-empty")
+        classes = _entity_payload(self.value, self.classes)
+        if classes is not self.classes:
+            object.__setattr__(self, "classes", classes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,6 +182,12 @@ class OmittedNode:
 
 
 Node = Union[ConceptNode, EntityNode, OmittedNode]
+
+# A node record made field by field, as its dataclass __init__ does, but
+# without its __post_init__: for a graph's add_* methods, whose ids come from
+# the counter and match _ID_RE by construction.
+_new = object.__new__
+_set = object.__setattr__
 
 
 class Edge(NamedTuple):
@@ -177,11 +208,13 @@ class Violation:
     message: str
 
 
-def _slot_fault(out: list[Edge]) -> str | None:
-    """The slot rule on one source's out-edges: ``DUPLICATE_ROLE_SLOT`` if a
-    role slot is filled twice, else ``BAD_INDEX_SET`` if an indexed role is
-    not indexed 1..k, else None."""
-    slots = {(edge.label.name, edge.label.index) for edge in out}
+def _slot_fault(out: list[Edge] | list[tuple[str, RoleLabel, str]]) -> str | None:
+    """The slot rule on one source's out-edges, as edges or as planned
+    (source, label, target) tuples: ``DUPLICATE_ROLE_SLOT`` if a role slot is
+    filled twice, else ``BAD_INDEX_SET`` if an indexed role is not indexed
+    1..k, else None."""
+    # Item 1 is the label of both; reading it so is as fast as ``edge.label``.
+    slots = {(edge[1].name, edge[1].index) for edge in out}
     if len(slots) != len(out):
         return DUPLICATE_ROLE_SLOT
     # Indices >= 1 of one role are 1..k exactly when each one above 1 has its
@@ -250,9 +283,12 @@ class SemanticGraph:
         self._indexed = len(self.edges)
         return self._out
 
+    # Each add_* checks its payload, then takes the id n{counter + 1}, or the
+    # next one not yet in ``nodes`` from _fresh_id, and advances the counter
+    # once its node is in ``nodes``: a node whose checks fail takes no id.
+
     def _fresh_id(self) -> str:
-        """The next free id, not yet taken: each ``add_*`` advances the counter
-        once its node is in ``nodes``, so a node whose checks fail takes none."""
+        """The next counter id not yet in ``nodes``, skipping the taken ones."""
         while True:
             node_id = f"n{self._id_counter + 1}"
             if node_id not in self.nodes:
@@ -261,24 +297,41 @@ class SemanticGraph:
 
     def add_concept(self, name: str) -> str:
         """Add a concept node and return its id. Duplicate names are allowed."""
-        node = ConceptNode(self._fresh_id(), name)
-        self.nodes[node.id] = node
+        _concept_payload(name)
+        node_id = f"n{self._id_counter + 1}"
+        if node_id in self.nodes:
+            node_id = self._fresh_id()
+        node = _new(ConceptNode)
+        _set(node, "id", node_id)
+        _set(node, "name", name)
+        self.nodes[node_id] = node
         self._id_counter += 1
-        return node.id
+        return node_id
 
     def add_entity(self, value: str, classes: Iterable[str] = ()) -> str:
         """Add an entity leaf with the given value and class names (kept in order)."""
-        node = EntityNode(self._fresh_id(), value, classes)
-        self.nodes[node.id] = node
+        classes = _entity_payload(value, classes)
+        node_id = f"n{self._id_counter + 1}"
+        if node_id in self.nodes:
+            node_id = self._fresh_id()
+        node = _new(EntityNode)
+        _set(node, "id", node_id)
+        _set(node, "value", value)
+        _set(node, "classes", classes)
+        self.nodes[node_id] = node
         self._id_counter += 1
-        return node.id
+        return node_id
 
     def add_omitted(self) -> str:
         """Add an omitted-node leaf and return its id."""
-        node = OmittedNode(self._fresh_id())
-        self.nodes[node.id] = node
+        node_id = f"n{self._id_counter + 1}"
+        if node_id in self.nodes:
+            node_id = self._fresh_id()
+        node = _new(OmittedNode)
+        _set(node, "id", node_id)
+        self.nodes[node_id] = node
         self._id_counter += 1
-        return node.id
+        return node_id
 
     def add_edge(self, source: str, label: RoleLabel | str, target: str) -> Edge:
         """Add a role edge from a concept to another node: the one-edge plan
@@ -296,6 +349,11 @@ class SemanticGraph:
         return list(self._adjacency().get(node_id, ()))
 
 
+# An Edge from a (source, label, target) tuple with no Python frame: what
+# Edge._make does, without its length check.
+_edge = partial(tuple.__new__, Edge)
+
+
 def add_planned_edges(graph: SemanticGraph,
                       planned: Iterable[tuple[str, RoleLabel | str, str]]) -> None:
     """Insert planned (source, label, target) edges, repairing slot collisions.
@@ -304,44 +362,69 @@ def add_planned_edges(graph: SemanticGraph,
     label; the edges of one call share one label per (name, index). Edges are
     grouped by (source, role name) in first-occurrence order and inserted
     group after group, in one batch that goes in whole or not at all. A group
-    is kept as planned if ``_slot_fault`` passes it and it is one member or
-    all-indexed; otherwise it is replaced by new edges indexed 1..k in plan
-    order, so no edge changes once made. Frontends use
-    this to honour the one-slot-per-role rule when source data repeats a role.
+    is kept as planned if it is one member, or all-indexed and passed by
+    ``_slot_fault``; otherwise its edges are made indexed 1..k in plan order.
+    Each edge is made once, with its final label. Frontends use this to
+    honour the one-slot-per-role rule when source data repeats a role.
 
     Raises ``GraphError``, and inserts nothing, if an edge has a missing
     endpoint or a source that is not a concept, or if a source's new edges,
-    with its existing ones of the same role names, break the slot rule. Each
-    source's slots are checked once per call.
+    with its existing ones of the same role names, break the slot rule. Only
+    the sources whose new edges can break it are checked.
     """
     labels: dict[tuple[str, int | None], RoleLabel] = {}  # (name, index) -> its one label
-    groups: dict[tuple[str, str], list[Edge]] = {}
+    groups: dict[tuple[str, str], list[tuple[str, RoleLabel, str]]] = {}
+    nodes = graph.nodes
+    endpoints_ok = True
     for source, label, target in planned:
         if isinstance(label, str):
-            label = labels.get((label, None)) or RoleLabel(label)
-        label = labels.setdefault((label.name, label.index), label)
-        groups.setdefault((source, label.name), []).append(Edge(source, label, target))
-    edges: list[Edge] = []
-    new: dict[str, list[Edge]] = {}  # source -> its new edges
-    for (source, name), group in groups.items():
-        if not (len(group) == 1 or (all(e.label.index is not None for e in group)
-                                    and _slot_fault(group) is None)):
-            group = [Edge(source, labels.get((name, i))
-                          or labels.setdefault((name, i), RoleLabel(name, i)), e.target)
-                     for i, e in enumerate(group, start=1)]
-        edges.extend(group)
-        new.setdefault(source, []).extend(group)
-    faults = _endpoint_violations(graph.nodes, edges)
-    if faults:
-        raise GraphError(faults[0].message, faults[0].code)
+            label = labels.get((label, None)) or labels.setdefault((label, None), RoleLabel(label))
+        else:
+            label = labels.setdefault((label.name, label.index), label)
+        groups.setdefault((source, label.name), []).append((source, label, target))
+        if target not in nodes:
+            endpoints_ok = False
     out = graph._adjacency()
-    for source, batch in new.items():
-        names = {edge.label.name for edge in batch}
-        code = _slot_fault([e for e in out.get(source, ()) if e.label.name in names] + batch)
-        if code is not None:
-            what = f"'{batch[0].label}'" if len(batch) == 1 else f"{len(batch)} edges"
-            raise GraphError(f"adding {what} to '{source}' would break the slot rule"
-                             " (each slot once, indices 1..k)", code)
+    edges: list[Edge] = []
+    # The sources whose new edges can break the slot rule. A source with no
+    # out-edges yet can break it only through a lone edge indexed above 1: a
+    # longer group is passed by _slot_fault or indexed 1..k, and distinct
+    # role names share no slot.
+    to_check: set[str] = set()
+    for (source, name), group in groups.items():
+        if not isinstance(nodes.get(source), ConceptNode):
+            endpoints_ok = False
+        if len(group) == 1:
+            index = group[0][1].index
+            if source in out or (index is not None and index > 1):
+                to_check.add(source)
+        else:
+            if source in out:
+                to_check.add(source)
+            if (None in {label.index for _, label, _ in group}
+                    or _slot_fault(group) is not None):
+                group = [(source, labels.get((name, i))
+                          or labels.setdefault((name, i), RoleLabel(name, i)), target)
+                         for i, (_, _, target) in enumerate(group, start=1)]
+        edges.extend(map(_edge, group))
+    # The tests above may only over-report; the first fault is reported as
+    # validate reports it.
+    if not endpoints_ok:
+        faults = _endpoint_violations(nodes, edges)
+        if faults:
+            raise GraphError(faults[0].message, faults[0].code)
+    if to_check:
+        batches: dict[str, list[Edge]] = {}  # source -> its new edges, in plan order
+        for edge in edges:
+            if edge.source in to_check:
+                batches.setdefault(edge.source, []).append(edge)
+        for source, batch in batches.items():
+            names = {edge.label.name for edge in batch}
+            code = _slot_fault([e for e in out.get(source, ()) if e.label.name in names] + batch)
+            if code is not None:
+                what = f"'{batch[0].label}'" if len(batch) == 1 else f"{len(batch)} edges"
+                raise GraphError(f"adding {what} to '{source}' would break the slot rule"
+                                 " (each slot once, indices 1..k)", code)
     graph.edges.extend(edges)
 
 

@@ -119,7 +119,7 @@ def ucca_to_graph(passage: UccaPassage) -> SemanticGraph:
         if node.kind == UNIT:
             node_of[node_id] = graph.add_concept(UNIT_CONCEPT)
         else:
-            node_of[node_id] = graph.add_entity(node.text, [TERMINAL_CLASS])
+            node_of[node_id] = graph.add_entity(node.text, (TERMINAL_CLASS,))
     add_planned_edges(graph, [(node_of[edge.parent], edge.category, node_of[edge.child])
                               for edge in passage.edges])
     return graph

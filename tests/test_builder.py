@@ -6,7 +6,9 @@ import contextlib
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import builder_oracle
 from semgraph import model, penman, ucca
 from semgraph.cli import main
 from semgraph.model import (
@@ -159,3 +161,68 @@ def test_empty_role_name_in_a_plan_inserts_nothing():
     with pytest.raises(GraphError, match="^role name must be non-empty$"):
         add_planned_edges(g, [(a, "r", b), (b, "", a)])
     assert g.edges == [] and g.out_edges(a) == []
+
+
+# Node kinds of the graphs drawn below; endpoints are drawn mostly from the
+# graph's nodes, and sources from its concepts, so that most plans get past
+# the endpoint rule to the slot rule.
+KINDS = ["concept"] * 4 + ["entity", "omitted"]
+NAMES = ["r", "s"]
+
+indexed_labels = st.builds(RoleLabel, st.sampled_from(NAMES), st.integers(1, 3))
+role_labels = st.one_of(st.sampled_from(NAMES), st.builds(RoleLabel, st.sampled_from(NAMES)),
+                        indexed_labels)
+
+
+@st.composite
+def plans(draw):
+    """A graph description (node kinds, and edges appended straight to
+    ``edges``, valid or not) and a plan on it, with ids that may be missing:
+    its labels are names and ``RoleLabel``s mixed, or indexed labels only."""
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5))
+    ids = [f"n{i}" for i in range(1, len(kinds) + 1)]
+    concepts = [i for i, kind in zip(ids, kinds) if kind == "concept"] or ids
+    target = st.sampled_from(ids * 8 + ["ghost"])
+    existing = draw(st.lists(st.tuples(st.sampled_from(concepts), role_labels, target),
+                             max_size=4))
+    source = st.sampled_from(concepts * 8 + ids + ["ghost"])
+    labels = draw(st.sampled_from([role_labels, indexed_labels]))
+    plan = draw(st.lists(st.tuples(source, labels, target), max_size=10))
+    return kinds, existing, plan
+
+
+def _graph(kinds, existing) -> SemanticGraph:
+    g = SemanticGraph()
+    for kind in kinds:
+        {"concept": lambda: g.add_concept("C"), "entity": lambda: g.add_entity("v"),
+         "omitted": g.add_omitted}[kind]()
+    g.edges += [model.Edge(s, RoleLabel(label) if isinstance(label, str) else label, t)
+                for s, label, t in existing]
+    return g
+
+
+def _outcome(builder, kinds, existing, plan):
+    """What ``builder`` does with ``plan``: its error, or the edges it added
+    with, for each, which planned label object it holds (by the first plan
+    position that holds it), if any."""
+    g = _graph(kinds, existing)
+    before = list(g.edges)
+    try:
+        builder(g, plan)
+    except Exception as exc:  # the same failure from both builders, whatever it is
+        assert g.edges == before  # nothing inserted
+        return type(exc), getattr(exc, "code", None), str(exc)
+    assert g.edges[:len(before)] == before
+    added = g.edges[len(before):]
+    assert all(len(ids) == 1 for ids in _label_objects(added).values())
+    position = {}
+    for i, (_, label, _) in enumerate(plan):
+        position.setdefault(id(label), i)
+    return added, [position.get(id(edge.label)) for edge in added]
+
+
+@given(plans())
+@settings(max_examples=400)
+def test_builder_matches_the_one_it_replaced(drawn):
+    assert _outcome(add_planned_edges, *drawn) == _outcome(builder_oracle.add_planned_edges,
+                                                           *drawn)

@@ -19,7 +19,7 @@ def _statement_counts(document):
             sum(1 for line in lines if EDGE_STMT.match(line)))
 
 
-@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@settings(max_examples=200)
 @given(st.text(st.sampled_from('\\"\nab') | st.characters()))
 def test_quote_equals_the_replace_chain(text):
     chain = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")

@@ -102,7 +102,7 @@ def test_mutated_input_fails_cleanly(fmt, tmp_path):
     convert, errors, command = READERS[fmt]
     path = tmp_path / "input"
 
-    @settings(derandomize=True, deadline=None, max_examples=100, database=None)
+    @settings(max_examples=100)
     @given(mutated(SEEDS[fmt]))
     def check(text):
         try:
@@ -149,7 +149,7 @@ def test_mutated_bytes_fail_cleanly(fmt, tmp_path):
     command = READERS[fmt][2]
     path = tmp_path / "input"
 
-    @settings(derandomize=True, deadline=None, max_examples=50, database=None)
+    @settings(max_examples=50)
     @given(mutated_bytes(SEEDS[fmt]))
     def check(data):
         path.write_bytes(data)

@@ -18,7 +18,7 @@ from semgraph.cli import main
 from semgraph.model import ConceptNode, EntityNode, OmittedNode
 from semgraph.xmlio import from_xml, to_xml
 
-SETTINGS = settings(derandomize=True, deadline=None, max_examples=20, database=None)
+SETTINGS = settings(max_examples=20)
 SEEDS = st.integers(0, 2**32 - 1)
 
 # format -> file maker from (rng, size), and the largest size drawn

@@ -480,7 +480,7 @@ class TestAgainstCharacterLexer:
             lambda body: f'ex:a ex:p "{body}" .'),
     ], ids=["fuzz-seed", "golden", "alphabet", "literal"])
     def test_same_tokens_or_same_error(self, strategy):
-        @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+        @settings(max_examples=400)
         @given(strategy)
         def check(text):
             assert _lexed(_tokenize, text) == _lexed(turtle_oracle.tokenize, text)

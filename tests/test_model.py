@@ -62,7 +62,8 @@ class TestAddConcept:
     lambda g: g.add_concept(""),
     lambda g: g.add_entity(""),
     lambda g: g.add_entity("v", [""]),
-], ids=["concept-name", "entity-value", "entity-class"])
+    lambda g: g.add_entity("v", "Place"),
+], ids=["concept-name", "entity-value", "entity-class", "entity-str-classes"])
 def test_a_failed_add_takes_no_id(fail):
     g = SemanticGraph()
     with pytest.raises(GraphError):
@@ -113,6 +114,15 @@ class TestAddEntity:
         assert EntityNode("n1", "v", given).classes is given
         with pytest.raises(AttributeError):
             node.classes.append("")
+
+    @pytest.mark.parametrize("classes", ["Place", "", "x"])
+    def test_a_str_is_not_taken_for_its_characters(self, classes):
+        g = SemanticGraph()
+        with pytest.raises(GraphError) as exc:
+            g.add_entity("v", classes)
+        assert str(exc.value) == f"entity classes must be class names, not the str {classes!r}"
+        assert g.nodes == {}
+        assert g.nodes[g.add_entity("v", [classes or "A"])].classes == (classes or "A",)
 
     @pytest.mark.parametrize("classes", [[""], ["A", ""]])
     def test_empty_class_name_rejected(self, classes):
@@ -306,10 +316,18 @@ class TestAddEdge:
         (lambda: EntityNode("e", ""), "entity value must be non-empty"),
         (lambda: OmittedNode(""), "invalid node id ''"),
         (lambda: EntityNode("e", "v", ["k", ""]), "entity class name must be non-empty"),
+        (lambda: EntityNode("e", "v", "Place"),
+         "entity classes must be class names, not the str 'Place'"),
         (lambda: ConceptDefinition(""), "concept definition name must be non-empty"),
         (lambda: RoleSpec(""), "role name must be non-empty"),
+        (lambda: RoleLabel("op", True), "role index must be an int, got True"),
+        (lambda: RoleLabel("op", False), "role index must be an int, got False"),
+        (lambda: RoleLabel("op", "2"), "role index must be an int, got '2'"),
+        (lambda: RoleLabel("op", 2.0), "role index must be an int, got 2.0"),
     ], ids=["role-name", "role-index", "concept-name", "concept-id", "entity-value",
-            "omitted-id", "entity-class", "definition-name", "role-spec-name"])
+            "omitted-id", "entity-class", "entity-str-classes", "definition-name",
+            "role-spec-name", "role-index-true", "role-index-false", "role-index-str",
+            "role-index-float"])
     def test_record_faults_are_graph_errors(self, build, message):
         with pytest.raises(GraphError) as exc:
             build()
@@ -438,7 +456,7 @@ def _reported(violations):
 class TestAgainstEdgeKeyedValidate:
     """The per-source ``validate`` against the edge-keyed one it replaced."""
 
-    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+    @settings(max_examples=400)
     @given(_faulty_graphs(), _catalogues(), st.sampled_from(["lax", "strict"]))
     def test_same_violations_in_the_same_order(self, graph, catalogue, mode):
         expected = validate_oracle.validate(graph, catalogue, mode)

@@ -312,7 +312,7 @@ class TestAgainstRecursiveParser:
             lambda parts: "(x / c" + "".join(parts)),
     ], ids=["fuzz-amr", "fuzz-umr", "suite", "alphabet"])
     def test_same_trees_or_same_error(self, strategy):
-        @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+        @settings(max_examples=400)
         @given(strategy)
         def check(text):
             try:
@@ -355,7 +355,7 @@ class TestAgainstOracleLexer:
         st.lists(st.sampled_from(LEXER_ALPHABET) | st.characters(), max_size=14).map("".join),
     ], ids=["fuzz-amr", "fuzz-umr", "suite", "alphabet"])
     def test_same_tokens_or_same_error(self, strategy):
-        @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+        @settings(max_examples=400)
         @given(strategy.flatmap(lambda text: st.tuples(
             st.just(text), st.integers(0, len(text)), st.integers(0, len(text)))))
         def check(case):

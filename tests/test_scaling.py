@@ -4,13 +4,18 @@ counted with ``sys.setprofile``, grow linearly with its input.
 Each format is converted, and XML graphs and catalogues are read by the
 other commands, at three sizes drawn from the benchmark's generators
 (``bench/gen.py``). The library layers are gated by themselves too: one
-``add_planned_edges`` call, ``merge``, ``from_xml`` and ``validate``. The
-gate compares marginal calls per element across the two size steps, not
-totals, so that work done once per command cancels out. A warm-up run first
-does the once-per-process work, such as building the CLI's argument parser.
+``add_planned_edges`` call, ``merge``, ``from_xml``, ``validate``, the XML
+and DOT writers and the catalogue reader. The gate compares marginal calls
+per element across the two size steps, not totals, so that work done once
+per command cancels out. A warm-up run first does the once-per-process
+work, such as building the CLI's argument parser.
+
+The insertion path is also bounded in exact calls per planned edge and per
+node, so that a change that adds calls to it fails.
 """
 
 import contextlib
+import gc
 import io
 import random
 import sys
@@ -19,10 +24,11 @@ import pytest
 
 import gen
 from semgraph.cli import main
+from semgraph.dot import _dot_parts
 from semgraph.model import (
     OmittedNode, RoleLabel, SemanticGraph, add_planned_edges, merge, validate,
 )
-from semgraph.xmlio import catalogue_from_xml, from_xml
+from semgraph.xmlio import _xml_parts, catalogue_from_xml, from_xml
 
 FLAT = 1.1  # the second step's marginal calls per element, at most, over the first's
 
@@ -198,12 +204,64 @@ def test_from_xml_makes_flat_calls_per_element():
     assert_layer_flat(from_xml, xml_document, SIZES)
 
 
+def xml_graph(nodes: int) -> tuple[int, SemanticGraph]:
+    """The elements of a generated lax-valid graph, and the graph as read,
+    with its edges not yet indexed by source, as validate and the writers
+    find them."""
+    elements, text = xml_document(nodes)
+    return elements, from_xml(text)
+
+
 @pytest.mark.parametrize("mode", ["lax", "strict"])
 def test_validate_makes_flat_calls_per_element(mode):
     catalogue = catalogue_from_xml(SPEC.xml())
+    assert_layer_flat(lambda g: validate(g, catalogue, mode), xml_graph, SIZES)
 
-    def graph(nodes: int):
-        elements, text = xml_document(nodes)
-        return elements, from_xml(text)  # edges not yet indexed by source, as validate finds them
 
-    assert_layer_flat(lambda g: validate(g, catalogue, mode), graph, SIZES)
+@pytest.mark.parametrize("parts", [_xml_parts, _dot_parts], ids=["xml", "dot"])
+def test_writers_make_flat_calls_per_element(parts):
+    assert_layer_flat(lambda g: list(parts(g)), xml_graph, SIZES)
+
+
+def test_catalogue_from_xml_makes_flat_calls_per_element():
+    def catalogue(concepts: int):
+        spec = gen.catalogue_spec(random.Random(1), concepts)
+        return len(spec.concepts) + sum(map(len, spec.concepts.values())), spec.xml()
+
+    assert_layer_flat(catalogue_from_xml, catalogue, (100, 400, 1600))
+
+
+# Exact calls per element of one call before the one-pass builder (kept as
+# tests/builder_oracle.py) and before add_* made records without re-checking
+# counter ids: 17.75 and 17.01 per planned edge of the wide and hub plans, 6
+# per concept and 8 per entity node. The bounds undercut them, so that a
+# revert fails.
+@pytest.mark.parametrize("plan, bound", [(wide_plan, 10), (hub_plan, 9)], ids=["wide", "hub"])
+def test_add_planned_edges_calls_per_edge(plan, bound):
+    edges, (g, planned) = plan(4000)
+    assert count_calls(lambda: add_planned_edges(g, planned)) / edges <= bound
+
+
+@pytest.mark.parametrize("method, args, bound", [
+    ("add_concept", ("X",), 3),
+    ("add_entity", ("v", ("A",)), 4),
+], ids=["concept", "entity"])
+def test_add_node_calls_per_node(method, args, bound):
+    def adds(nodes: int) -> int:
+        add = getattr(SemanticGraph(), method)
+
+        def run():
+            for _ in range(nodes):
+                add(*args)
+
+        return count_calls(run)
+
+    # The collector's callbacks (Hypothesis installs one) are counted calls,
+    # and how many collections run depends on the tests before this one.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert (adds(2000) - adds(1000)) / 1000 <= bound
+    finally:
+        if enabled:
+            gc.enable()

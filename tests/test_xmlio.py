@@ -68,6 +68,18 @@ class TestToXml:
         assert ('<role name="subEvent" index="1" target="n2"/>'
                 '<role name="subEvent" index="2" target="n3"/>') in to_xml(g)
 
+    @pytest.mark.parametrize("index", [True, "2", 1.0])
+    def test_only_an_int_index_reaches_the_writer(self, index):
+        # A bool index was written as index="True", which from_xml refuses.
+        with pytest.raises(GraphError, match="^role index must be an int, got "):
+            RoleLabel("op", index)
+        g = SemanticGraph()
+        a = g.add_concept("A")
+        g.add_edge(a, RoleLabel("op", 1), g.add_concept("B"))
+        document = to_xml(g)
+        assert '<role name="op" index="1" target="n2"/>' in document
+        assert to_xml(from_xml(document)) == document
+
     def test_attribute_escaping(self):
         g = SemanticGraph()
         g.add_concept('A&B<C>"D\'E')
@@ -81,7 +93,7 @@ class TestToXml:
         document = to_xml(g)
         assert "&#10;" in document and "&#9;" in document
 
-    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @settings(max_examples=200)
     @given(st.text(st.sampled_from('&<>"\'\n\t\rab\x01\x1f\ud800\uffff')
                    | st.characters()))
     def test_escape_equals_the_replace_chain(self, text):
@@ -95,7 +107,7 @@ class TestToXml:
         chain = chain.replace("\n", "&#10;").replace("\t", "&#9;").replace("\r", "&#13;")
         assert xmlio._escape(text) == chain
 
-    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @settings(max_examples=200)
     @given(st.text(st.sampled_from("a&\n\x00\x0b\x7f\ud800\ufffe") | st.characters(),
                    min_size=1), st.text(st.characters(), min_size=1))
     def test_any_name_and_value_round_trips_or_is_refused(self, name, value):
@@ -376,7 +388,7 @@ class TestCatalogueXml:
         assert not restored.get("Plain").role("r").indexed
         assert catalogue_to_xml(restored) == document
 
-    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @settings(max_examples=200)
     @given(st.dictionaries(
         st.text(),
         st.dictionaries(st.text(st.sampled_from("ab\x00&\n") | st.characters()),
@@ -672,7 +684,7 @@ class TestAgainstTreeReader:
 
     @pytest.mark.parametrize("seed", [SEEDS["xml"], _base_document()], ids=["fuzz", "base"])
     def test_mutated_graphs_agree(self, seed):
-        @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+        @settings(max_examples=400)
         @given(mutated(seed))
         @example(seed.replace("\n", "\ud800\n", 2))
         def check(text):
@@ -684,7 +696,7 @@ class TestAgainstTreeReader:
         check()
 
     def test_mutated_catalogues_agree(self):
-        @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+        @settings(max_examples=400)
         @given(mutated(CATALOGUE_SEED))
         @example(CATALOGUE_SEED.replace("\n", "\ud800\n", 2))
         def check(text):
