@@ -93,8 +93,17 @@ def _read(path: str) -> str:
             data, bad = exc.object, exc.start
     # Located as read() would give the text before the bad byte.
     valid = data[:bad].decode("utf-8").removeprefix("\ufeff")
-    raise model.SourceError(f"{path}: byte 0x{data[bad]:02x} is not valid UTF-8",
+    raise model.SourceError(f"byte 0x{data[bad]:02x} is not valid UTF-8",
                             *model.line_col_after(valid))
+
+
+def _load(path: str, reader, *args):
+    """``reader(text, *args)`` on the text of the file at ``path``; a
+    ``SourceError`` from reading or from ``reader`` names ``path``."""
+    try:
+        return reader(_read(path), *args)
+    except model.SourceError as exc:
+        raise model.SourceError(f"{path}: {exc.reason}", exc.line, exc.column) from None
 
 
 def _write(output: str | None, parts: Iterator[str]) -> None:
@@ -159,7 +168,7 @@ def _build(units: Iterator, add, combine: bool) -> list[model.SemanticGraph]:
     return graphs
 
 
-def _convert_units(source: str, text: str, lang: str, combine: bool) -> list[model.SemanticGraph]:
+def _convert_units(text: str, source: str, lang: str, combine: bool) -> list[model.SemanticGraph]:
     if source == "amr":
         from . import penman
         return _build(penman._penman_trees(text),
@@ -181,7 +190,7 @@ def _convert_units(source: str, text: str, lang: str, combine: bool) -> list[mod
 
 
 def _cmd_convert(args) -> int:
-    graphs = _convert_units(args.source, _read(args.input), args.lang, args.combine)
+    graphs = _load(args.input, _convert_units, args.source, args.lang, args.combine)
     if not graphs:
         print("semgraph: error: input contains no convertible content", file=sys.stderr)
         return 2
@@ -215,8 +224,8 @@ def _cmd_validate(args) -> int:
     if args.strict and not args.catalogue:
         print("semgraph: error: --strict requires --catalogue", file=sys.stderr)
         return 3
-    graph = xmlio.from_xml(_read(args.input))
-    catalogue = xmlio.catalogue_from_xml(_read(args.catalogue)) if args.catalogue else None
+    graph = _load(args.input, xmlio.from_xml)
+    catalogue = _load(args.catalogue, xmlio.catalogue_from_xml) if args.catalogue else None
     mode = "strict" if args.strict else "lax"
     violations = model.validate(graph, catalogue, mode)
     for violation in violations:
@@ -225,13 +234,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    graph = xmlio.from_xml(_read(args.input))
+    graph = _load(args.input, xmlio.from_xml)
     _write(args.output, dot._dot_parts(graph))
     return 0
 
 
 def _cmd_catalogue(args) -> int:
-    catalogue = xmlio.catalogue_from_xml(_read(args.input))
+    catalogue = _load(args.input, xmlio.catalogue_from_xml)
     for name in catalogue.names():
         definition = catalogue.entries[name]
         signature = ", ".join(role.name + ("[]" if role.indexed else "")

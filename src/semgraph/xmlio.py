@@ -3,8 +3,11 @@
 Writing is byte-deterministic: nodes are sorted by id (byte order), a
 concept's role elements keep edge insertion order, and attribute layout is
 fixed. Reading accepts any well-formed layout of the same element grammar.
-It is one pass of expat: the nodes, role edges and catalogue entries are
-built in its tag handlers, each once, and no element tree is kept. Nor is any
+It is one pass of expat, which calls each reader's own start handler once
+per start tag: that call checks the element against the grammar table
+(``_GRAPH`` or ``_CATALOGUE``) and builds its node, role edge or catalogue
+entry, each once and field by field, since every check that the record's
+constructor would repeat has been made. No element tree is kept. Nor is any
 location: an error takes its (line, column) from the parser as it is raised,
 or from a second parse if the fault is stray text or an unresolved target.
 """
@@ -20,7 +23,6 @@ from .model import (
     ConceptCatalogue,
     ConceptDefinition,
     ConceptNode,
-    Edge,
     EntityNode,
     GraphError,
     InvalidGraphError,
@@ -30,6 +32,9 @@ from .model import (
     SemanticGraph,
     SourceError,
     _ID_RE,
+    _edge,
+    _new,
+    _set,
     line_col,
     line_col_after,
     validate,
@@ -154,6 +159,13 @@ def _tag(name: str) -> str:
     return "{" + name if "}" in name else name
 
 
+def _misplaced(grammar: dict[str, tuple], parent: str, name: str) -> str:
+    """Why element ``name`` may not be a child of element ``parent``."""
+    if grammar[parent][0]:
+        return f"unexpected element '{_tag(name)}' inside {grammar[parent][4]}"
+    return f"element '{parent}' may not have children"
+
+
 def _attribute_fault(name: str, attributes: dict, entry: tuple) -> str:
     """Why ``attributes`` do not fit element ``name``: the first unknown
     attribute, by its ElementTree name, or else the first missing one."""
@@ -163,6 +175,15 @@ def _attribute_fault(name: str, attributes: dict, entry: tuple) -> str:
     if unknown:
         return f"unknown attribute '{unknown}' on element '{name}'"
     return f"missing attribute '{min(set(required) - present)}' on element '{name}'"
+
+
+def _parser():
+    return expat.ParserCreate(namespace_separator="}")
+
+
+def _fault(parser, reason: str) -> XmlSchemaError:
+    """An ``XmlSchemaError`` at the start tag that ``parser`` is in."""
+    return XmlSchemaError(reason, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
 
 
 def _parse(parser, text: str) -> None:
@@ -182,69 +203,49 @@ def _parse(parser, text: str) -> None:
                              *line_col_after(text[:bad])) from None
 
 
-def _read(text: str, grammar: dict[str, tuple], root: str,
-          start: Callable[[str, dict], None], element: str, end: Callable[[], None]) -> None:
-    """Parse ``text`` in one expat pass, checking the element grammar and the
-    root's version, and call ``start(name, attributes)`` at each start tag
-    below the root and ``end()`` at each end tag of ``element``.
+def _read(parser, text: str, grammar: dict[str, tuple], root: str,
+          start: Callable[[str, dict], None], end: Callable[[str], None]) -> None:
+    """Parse ``text`` with ``parser`` in one expat pass. ``_read`` checks the
+    root element and its version, and refuses a DOCTYPE and any text that is
+    not white space. Below the root, expat calls the reader's
+    ``start(name, attributes)`` itself at each start tag, and ``end(name)``
+    at each end tag: one Python call per tag.
 
-    ``start`` reads every required attribute of the element before any check
-    of its own: an element whose attribute count is right but whose names are
-    not fails there with a ``KeyError``. It raises ``XmlSchemaError`` with no
-    location; the reader adds that of the start tag.
+    ``start`` checks its element and builds it. It checks against
+    ``grammar``, in this order: that the open element may hold it
+    (``_misplaced``), its attribute count, then, after reading every required
+    attribute, its own checks; an element whose count is right but whose
+    names are not fails at that read with a ``KeyError``, reported as
+    ``_attribute_fault``. It raises each fault at its start tag (``_fault``),
+    so it refers to ``parser``: ``_read`` takes it off the parser at the end,
+    or the two would be a cycle that keeps the whole graph alive until the
+    collector finds it.
 
     A DOCTYPE stops the parse where it starts. Any other schema fault is
     reported only if the whole text is well-formed, so malformed markup
     always raises ``XmlSyntaxError``.
     """
-    parser = expat.ParserCreate(namespace_separator="}")
-    parser.buffer_text = True
-    open_elements: list[str] = []
-
-    def fault(reason):
-        return XmlSchemaError(reason, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
 
     def on_root(name, attributes):
         if name != root:
-            raise fault(f"unexpected root element '{_tag(name)}', expected '{root}'")
+            raise _fault(parser, f"unexpected root element '{_tag(name)}', expected '{root}'")
         if attributes.keys() != {"version"}:
-            raise fault(_attribute_fault(name, attributes, grammar[name]))
+            raise _fault(parser, _attribute_fault(name, attributes, grammar[name]))
         if attributes["version"] != "1":
-            raise fault(f"unsupported {root} version '{attributes['version']}'")
-        open_elements.append(name)
-        parser.StartElementHandler = on_start
-
-    def on_start(name, attributes):
-        parent = open_elements[-1]
-        children = grammar[parent][0]
-        if name not in children:
-            raise fault(f"unexpected element '{_tag(name)}' inside {grammar[parent][4]}"
-                        if children else f"element '{parent}' may not have children")
-        _, count, optional, _, _ = entry = grammar[name]
-        if len(attributes) != count + (optional in attributes):
-            raise fault(_attribute_fault(name, attributes, entry))
-        open_elements.append(name)
-        try:
-            start(name, attributes)
-        except KeyError:
-            raise fault(_attribute_fault(name, attributes, entry)) from None
-        except XmlSchemaError as exc:
-            raise fault(exc.reason) from None
-
-    def on_end(name):
-        if open_elements.pop() == element:
-            end()
+            raise _fault(parser, f"unsupported {root} version '{attributes['version']}'")
+        parser.StartElementHandler = start
 
     def on_text(data):
-        if data.strip():
-            raise XmlSchemaError(f"unexpected text content in element '{open_elements[-1]}'")
+        if data.strip():  # placed, and its element named, below
+            raise XmlSchemaError("unexpected text content")
 
     def on_doctype(*_):
         # Its internal subset could declare entities that expand to any text.
         raise XmlSchemaError(_DOCTYPE, *line_col(text, _PROLOG_RE.match(text).end()))
 
+    parser.buffer_text = True
     parser.StartElementHandler = on_root
-    parser.EndElementHandler = on_end
+    parser.EndElementHandler = end
     parser.CharacterDataHandler = on_text
     parser.StartDoctypeDeclHandler = on_doctype
     try:
@@ -253,30 +254,29 @@ def _read(text: str, grammar: dict[str, tuple], root: str,
         if exc.reason == _DOCTYPE:
             raise
         if exc.line is None:  # stray text; _start_tag also raises XmlSyntaxError
-            raise XmlSchemaError(exc.reason, *_start_tag(text)) from None
-        _parse(expat.ParserCreate(namespace_separator="}"), text)
+            name, line, column = _start_tag(text)
+            raise XmlSchemaError(f"{exc.reason} in element '{name}'", line, column) from None
+        _parse(_parser(), text)
         raise
     finally:
-        # on_root and on_start refer to the parser, so either would make a
-        # cycle that keeps the whole graph alive until the collector finds it.
         parser.StartElementHandler = None
 
 
-def _start_tag(text: str, k: int | None = None) -> tuple[int, int]:
-    """The (line, column) of the start tag of the ``k``-th (0-based) ``role``
-    element of ``text`` or, with no ``k``, of the element that holds the first
-    text that is not white space. It is found by a second parse, so that
-    reading keeps no location; malformed text raises ``XmlSyntaxError``.
+def _start_tag(text: str, k: int | None = None) -> tuple[str, int, int]:
+    """The name and (line, column) of the start tag of the ``k``-th (0-based)
+    ``role`` element of ``text`` or, with no ``k``, of the element that holds
+    the first text that is not white space. It is found by a second parse, so
+    that reading keeps no location; malformed text raises ``XmlSyntaxError``.
 
     ``edges[k]`` of ``from_xml`` starts at the ``k``-th role start tag: edges
     are appended in document order."""
-    parser = expat.ParserCreate(namespace_separator="}")
-    open_tags: list[tuple[int, int]] = []
+    parser = _parser()
+    open_tags: list[tuple[str, int, int]] = []
     roles = itertools.count()
     found = []
 
     def on_start(name, _):
-        open_tags.append((parser.CurrentLineNumber, parser.CurrentColumnNumber + 1))
+        open_tags.append((name, parser.CurrentLineNumber, parser.CurrentColumnNumber + 1))
         if name == "role" and next(roles) == k:
             found.append(open_tags[-1])
 
@@ -319,55 +319,91 @@ def from_xml(text: str) -> SemanticGraph:
     graph = SemanticGraph()
     nodes, edges = graph.nodes, graph.edges
     labels: dict[tuple[str, str | None], RoleLabel] = {}  # one per (name, index text)
-    source = ""  # id of the node element the parser is in
-    value = ""  # the name or value on that element
+    parser = _parser()
+    # The grammar nests no deeper than a role or class in a node element, so
+    # the open element is ``kind``, the root, or a role or class in ``kind``.
+    parent = "semanticgraph"  # the open element
+    kind = ""  # the node element last opened
+    source = ""  # its id
+    value = ""  # the name or value on it
     classes: list[str] = []  # of the entity element the parser is in
 
     def start(name, attributes):
-        nonlocal source, value
-        if name == "role":
-            key = (attributes["name"], attributes.get("index"))
-            target = attributes["target"]
-            label = labels.get(key)
-            if label is None:
-                label = labels[key] = _role_label(*key, source)
-            edges.append(Edge(source, label, target))
-        elif name == "class":
-            cls = attributes["name"]
-            if not cls:
-                raise XmlSchemaError(f"empty class name on entity '{source}'")
-            classes.append(cls)
-        else:
-            node_id = attributes["id"]
-            value = (attributes["name"] if name == "concept" else
-                     attributes["value"] if name == "entity" else None)
-            if not _ID_RE.match(node_id):
-                raise XmlSchemaError(f"invalid node id {node_id!r} on element '{name}'")
-            if node_id in nodes:
-                raise XmlSchemaError(f"duplicate node id '{node_id}'")
-            if name == "concept":
-                if not value:
-                    raise XmlSchemaError(f"empty concept name on node '{node_id}'")
-                nodes[node_id] = ConceptNode(node_id, value)
-            elif name == "entity":
-                if not value:
-                    raise XmlSchemaError(f"empty entity value on node '{node_id}'")
-                # Made at the end tag, once its classes are read; the key is
-                # taken now, so that nodes keep document order.
-                nodes[node_id] = None
-                classes.clear()
+        nonlocal parent, kind, source, value, classes
+        if name not in _GRAPH[parent][0]:
+            raise _fault(parser, _misplaced(_GRAPH, parent, name))
+        entry = _GRAPH[name]
+        count = len(attributes)
+        if count != entry[1] + (entry[2] in attributes):
+            raise _fault(parser, _attribute_fault(name, attributes, entry))
+        parent = name
+        # Each record is made once, field by field, as its dataclass __init__
+        # does: the checks its __post_init__ would repeat are made here.
+        try:
+            if name == "role":
+                # A role has three attributes exactly when one is its index.
+                key = (attributes["name"], attributes["index"] if count == 3 else None)
+                target = attributes["target"]
+                if key in labels:
+                    label = labels[key]
+                else:
+                    label = labels[key] = _role_label(*key, source)
+                edges.append(_edge((source, label, target)))
+            elif name == "class":
+                cls = attributes["name"]
+                if not cls:
+                    raise XmlSchemaError(f"empty class name on entity '{source}'")
+                classes.append(cls)
             else:
-                nodes[node_id] = OmittedNode(node_id)
-            source = node_id
+                node_id = attributes["id"]
+                value = (attributes["name"] if name == "concept" else
+                         attributes["value"] if name == "entity" else None)
+                if not _ID_RE.match(node_id):
+                    raise XmlSchemaError(f"invalid node id {node_id!r} on element '{name}'")
+                if node_id in nodes:
+                    raise XmlSchemaError(f"duplicate node id '{node_id}'")
+                if name == "concept":
+                    if not value:
+                        raise XmlSchemaError(f"empty concept name on node '{node_id}'")
+                    node = _new(ConceptNode)
+                    _set(node, "id", node_id)
+                    _set(node, "name", value)
+                    nodes[node_id] = node
+                elif name == "entity":
+                    if not value:
+                        raise XmlSchemaError(f"empty entity value on node '{node_id}'")
+                    # Made at the end tag, once its classes are read; the key is
+                    # taken now, so that nodes keep document order.
+                    nodes[node_id] = None
+                    classes = []
+                else:
+                    node = _new(OmittedNode)
+                    _set(node, "id", node_id)
+                    nodes[node_id] = node
+                kind, source = name, node_id
+        except KeyError:
+            raise _fault(parser, _attribute_fault(name, attributes, entry)) from None
+        except XmlSchemaError as exc:
+            raise _fault(parser, exc.reason) from None
 
-    def end():
-        nodes[source] = EntityNode(source, value, tuple(classes))
+    def end(name):
+        nonlocal parent
+        if name != kind:  # a role or class, or the root
+            parent = kind
+            return
+        parent = "semanticgraph"
+        if name == "entity":
+            node = _new(EntityNode)
+            _set(node, "id", source)
+            _set(node, "value", value)
+            _set(node, "classes", tuple(classes))
+            nodes[source] = node
 
-    _read(text, _GRAPH, "semanticgraph", start, "entity", end)
+    _read(parser, text, _GRAPH, "semanticgraph", start, end)
     for k, edge in enumerate(edges):
         if edge.target not in nodes:
             raise XmlSchemaError(f"role target references unknown id '{edge.target}'",
-                                 *_start_tag(text, k))
+                                 *_start_tag(text, k)[1:])
     return graph
 
 
@@ -402,31 +438,64 @@ def catalogue_to_xml(catalogue: ConceptCatalogue) -> str:
 def catalogue_from_xml(text: str) -> ConceptCatalogue:
     """Parse a concept catalogue document."""
     catalogue = ConceptCatalogue()
-    concept = ""  # name of the concept element the parser is in
+    entries = catalogue.entries
+    specs: dict[tuple[str, str], RoleSpec] = {}  # one per (name, indexed text)
+    parser = _parser()
+    parent = "catalogue"  # the open element: the root, a concept, or a role in it
+    concept = ""  # name of the concept element last opened
     roles: dict[str, RoleSpec] = {}  # of that concept, by name
 
     def start(name, attributes):
-        nonlocal concept
-        if name == "concept":
-            concept = attributes["name"]
-            if not concept:
-                raise XmlSchemaError("empty concept name in catalogue")
-            if concept in catalogue:
-                raise XmlSchemaError(f"duplicate concept '{concept}' in catalogue")
-            roles.clear()
+        nonlocal parent, concept, roles
+        if name not in _CATALOGUE[parent][0]:
+            raise _fault(parser, _misplaced(_CATALOGUE, parent, name))
+        entry = _CATALOGUE[name]
+        count = len(attributes)
+        if count != entry[1] + (entry[2] in attributes):
+            raise _fault(parser, _attribute_fault(name, attributes, entry))
+        parent = name
+        try:
+            if name == "concept":
+                concept = attributes["name"]
+                if not concept:
+                    raise XmlSchemaError("empty concept name in catalogue")
+                if concept in entries:
+                    raise XmlSchemaError(f"duplicate concept '{concept}' in catalogue")
+                roles = {}
+                return
+            role = attributes["name"]
+            if not role:
+                raise XmlSchemaError(f"empty role name in concept '{concept}'")
+            if role in roles:
+                raise XmlSchemaError(f"role '{role}' declared twice in concept '{concept}'")
+            # A role has two attributes exactly when one is its indexed flag.
+            indexed = attributes["indexed"] if count == 2 else "false"
+            key = (role, indexed)
+            if key in specs:
+                roles[role] = specs[key]
+                return
+            if indexed not in ("true", "false"):
+                raise XmlSchemaError(f"indexed must be 'true' or 'false', got {indexed!r}")
+            # Made field by field, as in from_xml.
+            spec = roles[role] = specs[key] = _new(RoleSpec)
+            _set(spec, "name", role)
+            _set(spec, "indexed", indexed == "true")
+        except KeyError:
+            raise _fault(parser, _attribute_fault(name, attributes, entry)) from None
+        except XmlSchemaError as exc:
+            raise _fault(parser, exc.reason) from None
+
+    def end(name):
+        nonlocal parent
+        if name != "concept":  # a role, or the root
+            parent = "concept"
             return
-        role = attributes["name"]
-        if not role:
-            raise XmlSchemaError(f"empty role name in concept '{concept}'")
-        if role in roles:
-            raise XmlSchemaError(f"role '{role}' declared twice in concept '{concept}'")
-        indexed = attributes.get("indexed", "false")
-        if indexed not in ("true", "false"):
-            raise XmlSchemaError(f"indexed must be 'true' or 'false', got {indexed!r}")
-        roles[role] = RoleSpec(role, indexed == "true")
+        parent = "catalogue"
+        definition = _new(ConceptDefinition)
+        _set(definition, "name", concept)
+        _set(definition, "roles", tuple(roles.values()))
+        _set(definition, "description", None)
+        entries[concept] = definition
 
-    def end():
-        catalogue.define(ConceptDefinition(concept, tuple(roles.values())))
-
-    _read(text, _CATALOGUE, "catalogue", start, "concept", end)
+    _read(parser, text, _CATALOGUE, "catalogue", start, end)
     return catalogue

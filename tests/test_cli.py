@@ -428,7 +428,7 @@ class TestExitCodeMatrix:
                      "-o", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"semgraph: error: {message}\n"
+        assert captured.err == f"semgraph: error: {source_path}: {message}\n"
         assert [path.name for path in tmp_path.iterdir()] == [source_path.name]
 
     @pytest.mark.parametrize("command,text,message", [
@@ -448,7 +448,22 @@ class TestExitCodeMatrix:
         assert main([*command, str(source)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"semgraph: error: {message}\n"
+        assert captured.err == f"semgraph: error: {source}: {message}\n"
+
+    @pytest.mark.parametrize("graph,catalogue,at_fault,reason", [
+        ("g.xml", "g.xml", "g.xml",
+         "unexpected root element 'semanticgraph', expected 'catalogue'"),
+        ("c.xml", "g.xml", "c.xml",  # both at fault; the graph is read first
+         "unexpected root element 'catalogue', expected 'semanticgraph'"),
+    ], ids=["graph-as-catalogue", "swapped"])
+    def test_reader_error_names_the_file_at_fault(self, tmp_path, capsys, graph, catalogue,
+                                                   at_fault, reason):
+        (tmp_path / "g.xml").write_text('<semanticgraph version="1"/>', encoding="utf-8")
+        (tmp_path / "c.xml").write_text('<catalogue version="1"/>', encoding="utf-8")
+        assert main(["validate", "--strict", "--catalogue", str(tmp_path / catalogue),
+                     str(tmp_path / graph)]) == 2
+        assert capsys.readouterr().err == (
+            f"semgraph: error: {tmp_path / at_fault}: {reason} (line 1, column 1)\n")
 
     @pytest.mark.parametrize("command,data,byte,location", [
         (["validate"], b'<semanticgraph version="1">\r\n<concept id="\xc3\xa9\xff"/>',
@@ -673,7 +688,8 @@ class TestOversizedInput:
          ["convert", "--from", "amr", "--to", "xml"], 0, BIG_CONSTANT, ""),
         ("deep.xml", '<semanticgraph version="1">' + '<concept id="a" name="X">' * NESTING
          + "</concept>" * NESTING + "</semanticgraph>\n", ["validate"], 2, "",
-         "semgraph: error: unexpected element 'concept' inside 'concept' (line 1, column 53)\n"),
+         "semgraph: error: deep.xml: unexpected element 'concept' inside 'concept'"
+         " (line 1, column 53)\n"),
     ], ids=["ttl-2mb-literal", "amr-200k-digit-constant", "xml-100k-deep"])
     def test_oversized_field_or_nesting(self, tmp_path, name, text, args, code, out, err):
         (tmp_path / name).write_text(text, encoding="utf-8")

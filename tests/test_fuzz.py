@@ -244,4 +244,4 @@ def test_dropped_or_renamed_xml_attribute_is_a_located_error(text, at, reason, t
     start = text.rfind("<", 0, at)  # of the element's start tag
     column = start - text.rfind("\n", 0, start)
     lineno = text.count("\n", 0, start) + 1
-    assert line == f"semgraph: error: {reason} (line {lineno}, column {column})"
+    assert line == f"semgraph: error: {path}: {reason} (line {lineno}, column {column})"

@@ -1,9 +1,10 @@
 """The benchmark's generators (``bench/gen.py``) against semgraph: for drawn
-seeds and small sizes, each generated file converts to the node and edge
-counts the generator states, each generated XML graph comes back from a
-canonical write unchanged, and ``validate`` reports the violations the
-generator injected. The scaling gates and the benchmark's output checks rest
-on these counts."""
+seeds and small sizes, each generated file converts to XML and to DOT with
+the node and edge counts the generator states, each generated XML graph
+renders to DOT with them and comes back from a canonical write unchanged,
+and ``validate`` reports the violations the generator injected. The scaling
+gates and the benchmark's output checks rest on these counts; DOT is counted
+by the benchmark's own checker (``bench/check.py``)."""
 
 import contextlib
 import io
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gen
+from check import dot_counts
 from semgraph.cli import main
 from semgraph.model import ConceptNode, EntityNode, OmittedNode
 from semgraph.xmlio import from_xml, to_xml
@@ -56,9 +58,11 @@ def test_converted_file_has_the_generators_counts(fmt, tmp_path):
     def check(seed, size):
         text, counts = make(random.Random(seed), size)
         path.write_text(text, encoding="utf-8")
-        code, xml = run(["convert", "--from", fmt, "--to", "xml", str(path)])
-        assert code == 0
-        assert counts_of(from_xml(xml)) == counts.as_dict()
+        for target, counted in [("xml", lambda xml: counts_of(from_xml(xml))),
+                                ("dot", dot_counts)]:
+            code, out = run(["convert", "--from", fmt, "--to", target, str(path)])
+            assert code == 0
+            assert counted(out) == counts.as_dict(), target
 
     check()
 
@@ -84,6 +88,21 @@ def test_canonical_write_of_a_generated_graph_reads_back_to_the_same_bytes(case)
     assert counts_of(graph) == counts.as_dict()
     canonical = to_xml(graph)
     assert to_xml(from_xml(canonical)) == canonical
+
+
+def test_render_of_a_generated_graph_has_the_generators_counts(tmp_path):
+    path = tmp_path / "graph.xml"
+
+    @SETTINGS
+    @given(xml_graphs(lax_faults=st.just(0)))  # render writes lax-valid graphs only
+    def check(case):
+        _, text, counts, _, _ = case
+        path.write_text(text, encoding="utf-8")
+        code, dot = run(["render", str(path)])
+        assert code == 0
+        assert dot_counts(dot) == counts.as_dict()
+
+    check()
 
 
 def test_validate_reports_the_generators_violations(tmp_path):

@@ -11,7 +11,8 @@ per command cancels out. A warm-up run first does the once-per-process
 work, such as building the CLI's argument parser.
 
 The insertion path is also bounded in exact calls per planned edge and per
-node, so that a change that adds calls to it fails.
+node, and the XML readers in exact calls per element, so that a change that
+adds calls to them fails.
 """
 
 import contextlib
@@ -223,12 +224,28 @@ def test_writers_make_flat_calls_per_element(parts):
     assert_layer_flat(lambda g: list(parts(g)), xml_graph, SIZES)
 
 
-def test_catalogue_from_xml_makes_flat_calls_per_element():
-    def catalogue(concepts: int):
-        spec = gen.catalogue_spec(random.Random(1), concepts)
-        return len(spec.concepts) + sum(map(len, spec.concepts.values())), spec.xml()
+def catalogue_document(concepts: int) -> tuple[int, str]:
+    """The elements and text of a generated catalogue."""
+    spec = gen.catalogue_spec(random.Random(1), concepts)
+    return len(spec.concepts) + sum(map(len, spec.concepts.values())), spec.xml()
 
-    assert_layer_flat(catalogue_from_xml, catalogue, (100, 400, 1600))
+
+def test_catalogue_from_xml_makes_flat_calls_per_element():
+    assert_layer_flat(catalogue_from_xml, catalogue_document, (100, 400, 1600))
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """The cyclic collector off, then as it was. Its callbacks (Hypothesis
+    installs one) are counted calls, and how many collections run depends on
+    the tests before."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # Exact calls per element of one call before the one-pass builder (kept as
@@ -256,12 +273,19 @@ def test_add_node_calls_per_node(method, args, bound):
 
         return count_calls(run)
 
-    # The collector's callbacks (Hypothesis installs one) are counted calls,
-    # and how many collections run depends on the tests before this one.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused():
         assert (adds(2000) - adds(1000)) / 1000 <= bound
-    finally:
-        if enabled:
-            gc.enable()
+
+
+# Exact calls per element of one read before each reader checked and built
+# an element in one start handler, with no re-check by the record's
+# constructor: 15.76 for a graph and 13.44 for a catalogue. The bounds
+# undercut them, so that a revert fails.
+@pytest.mark.parametrize("reader, document, bound", [
+    (from_xml, lambda: xml_document(4000), 11),
+    (catalogue_from_xml, lambda: catalogue_document(1600), 10),
+], ids=["graph", "catalogue"])
+def test_xml_reader_calls_per_element(reader, document, bound):
+    elements, text = document()
+    with collector_paused():
+        assert count_calls(lambda: reader(text)) / elements <= bound

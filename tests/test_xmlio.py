@@ -14,7 +14,10 @@ from semgraph.model import (
     RoleSpec,
     ConceptCatalogue,
     ConceptDefinition,
+    ConceptNode,
     Edge,
+    EntityNode,
+    OmittedNode,
     SemanticGraph,
     validate,
 )
@@ -473,6 +476,69 @@ def _schema_reason(read, document) -> str:
     with pytest.raises(XmlSchemaError) as exc:
         read(document)
     return exc.value.reason
+
+
+# Short texts of XML characters, often empty, and ids that are often valid.
+_FIELDS = st.text(st.characters(blacklist_categories=("Cs",)).filter(_xml_char), max_size=3)
+_IDS = _FIELDS | st.from_regex(r"[A-Za-z0-9_.-]{1,3}", fullmatch=True)
+
+
+def _raises(make, error) -> bool:
+    try:
+        make()
+    except error:
+        return True
+    return False
+
+
+class TestRecordsAsConstructed:
+    """The readers make each record field by field, with no call to its
+    constructor: the records equal the constructors', and the readers refuse
+    exactly the fields that the constructors refuse."""
+
+    def test_graph_records_equal_the_constructors(self):
+        g = from_xml(_graph('<concept id="c" name="X"><role name="r" target="e"/></concept>'
+                            '<entity id="e" value="v"><class name="A"/><class name="B"/>'
+                            '</entity><entity id="f" value="w"/><omitted id="o"/>'))
+        assert g.nodes == {"c": ConceptNode("c", "X"), "e": EntityNode("e", "v", ("A", "B")),
+                           "f": EntityNode("f", "w"), "o": OmittedNode("o")}
+        assert [type(node.classes) for node in (g.nodes["e"], g.nodes["f"])] == [tuple, tuple]
+        assert g.edges == [Edge("c", RoleLabel("r"), "e")]
+        assert all(type(edge) is Edge for edge in g.edges)
+
+    def test_catalogue_records_equal_the_constructors(self):
+        catalogue = catalogue_from_xml(_catalogue(
+            '<concept name="A"><role name="r"/><role name="s" indexed="true"/>'
+            '<role name="t" indexed="false"/></concept><concept name="B"><role name="r"/>'
+            '</concept>'))
+        expected = {"A": ConceptDefinition("A", (RoleSpec("r"), RoleSpec("s", True),
+                                                 RoleSpec("t"))),
+                    "B": ConceptDefinition("B", (RoleSpec("r"),))}
+        assert catalogue.entries == expected
+        for name, definition in catalogue.entries.items():
+            assert vars(definition) == vars(expected[name])
+            assert definition.description is None
+            assert [vars(role) for role in definition.roles] \
+                == [vars(role) for role in expected[name].roles]
+
+    @settings(max_examples=300)
+    @given(_IDS, _FIELDS, _FIELDS, _FIELDS, _FIELDS)
+    def test_readers_refuse_what_the_constructors_refuse(self, node_id, name, value, cls, role):
+        e = xmlio._escape
+        for construct, read, document in [
+            (lambda: ConceptNode(node_id, name), from_xml,
+             _graph(f'<concept id="{e(node_id)}" name="{e(name)}"/>')),
+            (lambda: EntityNode(node_id, value, (cls,)), from_xml,
+             _graph(f'<entity id="{e(node_id)}" value="{e(value)}">'
+                    f'<class name="{e(cls)}"/></entity>')),
+            (lambda: OmittedNode(node_id), from_xml, _graph(f'<omitted id="{e(node_id)}"/>')),
+            (lambda: RoleLabel(role), from_xml,
+             _graph(f'<concept id="c" name="X"><role name="{e(role)}" target="c"/></concept>')),
+            (lambda: ConceptDefinition(name, (RoleSpec(role),)), catalogue_from_xml,
+             _catalogue(f'<concept name="{e(name)}"><role name="{e(role)}"/></concept>')),
+        ]:
+            assert _raises(lambda: read(document), XmlSchemaError) \
+                == _raises(construct, GraphError), document
 
 
 class TestPinnedReading:
