@@ -234,8 +234,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    graph = _load(args.input, xmlio.from_xml)
-    _write(args.output, dot._dot_parts(graph))
+    _write(args.output, _serialized("dot", _load(args.input, xmlio.from_xml)))
     return 0
 
 

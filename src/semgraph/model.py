@@ -92,6 +92,14 @@ class InvalidGraphError(GraphError):
         self.violations = violations
 
 
+def _name_error(what: str, name: object) -> GraphError:
+    """Why ``name`` may not be a ``what``: it is empty, or not exactly a str
+    (the writers write it as it is, and a str subclass may format otherwise)."""
+    if type(name) is str:
+        return GraphError(f"{what} must be non-empty")
+    return GraphError(f"{what} must be a str, not the {type(name).__name__} {name!r}")
+
+
 def _check_id(node_id: str) -> None:
     # The node records are frozen, so an id checked here holds for good, and
     # the writers write ids as they are.
@@ -107,8 +115,8 @@ class RoleLabel:
     index: int | None = None
 
     def __post_init__(self):
-        if not self.name:
-            raise GraphError("role name must be non-empty")
+        if type(self.name) is not str or not self.name:
+            raise _name_error("role name", self.name)
         if self.index is not None:
             # Not a bool or another int subclass: the writers write the index
             # as it is, and the readers read back only digits.
@@ -123,24 +131,27 @@ class RoleLabel:
 
 # The payload checks of the node records, run by their constructors and by
 # the graph's add_* methods, which make the records without the id check.
+# A check that passes makes no call: type() is a type, not a function.
 
 
 def _concept_payload(name: str) -> None:
-    if not name:
-        raise GraphError("concept name must be non-empty")
+    if type(name) is not str or not name:
+        raise _name_error("concept name", name)
 
 
 def _entity_payload(value: str, classes: Iterable[str]) -> tuple[str, ...]:
     """Check an entity's value and classes; return the classes as a tuple,
     ``classes`` itself if it is one."""
     if type(classes) is not tuple:
-        if isinstance(classes, str):  # would be read as one class per character
-            raise GraphError(f"entity classes must be class names, not the str {classes!r}")
+        if isinstance(classes, (str, bytes, bytearray)):  # one class per character or byte
+            raise GraphError("entity classes must be class names,"
+                             f" not the {type(classes).__name__} {classes!r}")
         classes = tuple(classes)
-    if not value:
-        raise GraphError("entity value must be non-empty")
-    if not all(classes):
-        raise GraphError("entity class name must be non-empty")
+    if type(value) is not str or not value:
+        raise _name_error("entity value", value)
+    for cls in classes:
+        if type(cls) is not str or not cls:
+            raise _name_error("entity class name", cls)
     return classes
 
 
@@ -445,7 +456,7 @@ def _copy_into(out: SemanticGraph, graph: SemanticGraph, ids: dict[str, str]) ->
         if node_id not in ids:
             ids[node_id] = _copy_node_into(out, node)
     try:
-        out.edges.extend(Edge(ids[e.source], e.label, ids[e.target]) for e in graph.edges)
+        out.edges.extend(_edge((ids[s], label, ids[t])) for s, label, t in graph.edges)
     except KeyError:  # an endpoint that is not in graph.nodes
         fault = next(v for v in _endpoint_violations(graph.nodes, graph.edges)
                      if v.code in (EDGE_FROM_NON_CONCEPT, DANGLING_TARGET))
@@ -462,9 +473,7 @@ def _check_fusable(a: Node, b: Node) -> None:
             raise GraphError(
                 f"cannot fuse entity '{a.value}' with entity '{b.value}':"
                 " values and classes must match")
-    elif isinstance(a, OmittedNode) and isinstance(b, OmittedNode):
-        pass
-    else:
+    elif not (isinstance(a, OmittedNode) and isinstance(b, OmittedNode)):
         raise GraphError("cannot fuse nodes of different kinds")
 
 
@@ -514,8 +523,8 @@ class RoleSpec:
     indexed: bool = False
 
     def __post_init__(self):
-        if not self.name:
-            raise GraphError("role name must be non-empty")
+        if type(self.name) is not str or not self.name:
+            raise _name_error("role name", self.name)
 
 
 @dataclass(frozen=True)
@@ -529,8 +538,8 @@ class ConceptDefinition:
     def __post_init__(self):
         if not isinstance(self.roles, tuple):
             object.__setattr__(self, "roles", tuple(self.roles))
-        if not self.name:
-            raise GraphError("concept definition name must be non-empty")
+        if type(self.name) is not str or not self.name:
+            raise _name_error("concept definition name", self.name)
         seen = set()
         for role in self.roles:
             if role.name in seen:

@@ -236,16 +236,6 @@ def parse_umr_document(text: str) -> UmrDocument:
     return UmrDocument(sentences, relations)
 
 
-def _plan_slot_edge(planned: list, source: str, role: str, target: str,
-                    target_is_concept: bool) -> None:
-    # X-of roles flip to a forward X edge, but only onto concept targets:
-    # an entity may never become an edge source.
-    if role.endswith("-of") and len(role) > 3 and target_is_concept:
-        planned.append((target, role[:-3], source))
-    else:
-        planned.append((source, role, target))
-
-
 def amr_to_graph(tree: PenmanTree) -> SemanticGraph:
     """Convert a parsed AMR tree.
 
@@ -302,20 +292,24 @@ def _to_graph(graph: SemanticGraph, sentences: list[PenmanTree],
         for var, label in tree.concepts.items():
             var_node[var] = graph.add_concept(label)
         for slot in tree.slots:
-            source = var_node[slot.owner]
-            if slot.kind == CONST:
-                token = slot.value
-                if token in promoted:
-                    node = promoted_node.get(token)
-                    if node is None:
-                        node = promoted_node[token] = graph.add_concept(token)
-                    _plan_slot_edge(planned, source, slot.role, node, True)
-                else:
-                    node = graph.add_entity(token)
-                    const_entity.setdefault(token, node)
-                    _plan_slot_edge(planned, source, slot.role, node, False)
+            source, role, token = var_node[slot.owner], slot.role, slot.value
+            if slot.kind != CONST:
+                target = var_node[token]
+            elif token in promoted:
+                target = promoted_node.get(token)
+                if target is None:
+                    target = promoted_node[token] = graph.add_concept(token)
             else:
-                _plan_slot_edge(planned, source, slot.role, var_node[slot.value], True)
+                target = graph.add_entity(token)
+                const_entity.setdefault(token, target)
+                planned.append((source, role, target))
+                continue
+            # X-of roles flip to a forward X edge, but only onto concept
+            # targets: an entity may never become an edge source.
+            if role.endswith("-of") and len(role) > 3:
+                planned.append((target, role[:-3], source))
+            else:
+                planned.append((source, role, target))
     for relation in relations:
         source = var_node.get(relation.source, promoted_node.get(relation.source))
         target = var_node.get(relation.target)

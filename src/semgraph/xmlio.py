@@ -8,8 +8,9 @@ per start tag: that call checks the element against the grammar table
 (``_GRAPH`` or ``_CATALOGUE``) and builds its node, role edge or catalogue
 entry, each once and field by field, since every check that the record's
 constructor would repeat has been made. No element tree is kept. Nor is any
-location: an error takes its (line, column) from the parser as it is raised,
-or from a second parse if the fault is stray text or an unresolved target.
+location: a start handler raises each fault where it finds it, through
+``_fault``, which takes the (line, column) of the start tag from the parser;
+a fault in stray text or an unresolved target is located by a second parse.
 """
 
 from __future__ import annotations
@@ -216,10 +217,11 @@ def _read(parser, text: str, grammar: dict[str, tuple], root: str,
     (``_misplaced``), its attribute count, then, after reading every required
     attribute, its own checks; an element whose count is right but whose
     names are not fails at that read with a ``KeyError``, reported as
-    ``_attribute_fault``. It raises each fault at its start tag (``_fault``),
-    so it refers to ``parser``: ``_read`` takes it off the parser at the end,
-    or the two would be a cycle that keeps the whole graph alive until the
-    collector finds it.
+    ``_attribute_fault``. It raises every fault where it finds it, as
+    ``_fault(parser, reason)``, located at the start tag that the parser is
+    in; nothing re-raises it. So it refers to ``parser``: ``_read`` takes it
+    off the parser at the end, or the two would be a cycle that keeps the
+    whole graph alive until the collector finds it.
 
     A DOCTYPE stops the parse where it starts. Any other schema fault is
     reported only if the whole text is well-formed, so malformed markup
@@ -294,19 +296,6 @@ def _start_tag(text: str, k: int | None = None) -> tuple[str, int, int]:
     return found[0]
 
 
-def _role_label(name: str, index_text: str | None, source: str) -> RoleLabel:
-    if not name:
-        raise XmlSchemaError(f"empty role name on a role of '{source}'")
-    if index_text is None:
-        return RoleLabel(name)
-    if not _INDEX_RE.match(index_text):
-        raise XmlSchemaError(f"role index must be a positive integer, got {index_text!r}")
-    try:
-        return RoleLabel(name, int(index_text))
-    except ValueError:  # more digits than int() converts
-        raise XmlSchemaError(f"role index has too many digits ({len(index_text)})") from None
-
-
 def from_xml(text: str) -> SemanticGraph:
     """Parse a semantic graph document, preserving the serialized node ids.
 
@@ -342,36 +331,48 @@ def from_xml(text: str) -> SemanticGraph:
         try:
             if name == "role":
                 # A role has three attributes exactly when one is its index.
-                key = (attributes["name"], attributes["index"] if count == 3 else None)
+                role = attributes["name"]
+                index = attributes["index"] if count == 3 else None
                 target = attributes["target"]
+                key = (role, index)
                 if key in labels:
                     label = labels[key]
+                elif not role:
+                    raise _fault(parser, f"empty role name on a role of '{source}'")
+                elif index is None:
+                    label = labels[key] = RoleLabel(role)
+                elif not _INDEX_RE.match(index):
+                    raise _fault(parser, f"role index must be a positive integer, got {index!r}")
                 else:
-                    label = labels[key] = _role_label(*key, source)
+                    try:
+                        label = labels[key] = RoleLabel(role, int(index))
+                    except ValueError:  # more digits than int() converts
+                        raise _fault(parser, "role index has too many digits"
+                                             f" ({len(index)})") from None
                 edges.append(_edge((source, label, target)))
             elif name == "class":
                 cls = attributes["name"]
                 if not cls:
-                    raise XmlSchemaError(f"empty class name on entity '{source}'")
+                    raise _fault(parser, f"empty class name on entity '{source}'")
                 classes.append(cls)
             else:
                 node_id = attributes["id"]
                 value = (attributes["name"] if name == "concept" else
                          attributes["value"] if name == "entity" else None)
                 if not _ID_RE.match(node_id):
-                    raise XmlSchemaError(f"invalid node id {node_id!r} on element '{name}'")
+                    raise _fault(parser, f"invalid node id {node_id!r} on element '{name}'")
                 if node_id in nodes:
-                    raise XmlSchemaError(f"duplicate node id '{node_id}'")
+                    raise _fault(parser, f"duplicate node id '{node_id}'")
                 if name == "concept":
                     if not value:
-                        raise XmlSchemaError(f"empty concept name on node '{node_id}'")
+                        raise _fault(parser, f"empty concept name on node '{node_id}'")
                     node = _new(ConceptNode)
                     _set(node, "id", node_id)
                     _set(node, "name", value)
                     nodes[node_id] = node
                 elif name == "entity":
                     if not value:
-                        raise XmlSchemaError(f"empty entity value on node '{node_id}'")
+                        raise _fault(parser, f"empty entity value on node '{node_id}'")
                     # Made at the end tag, once its classes are read; the key is
                     # taken now, so that nodes keep document order.
                     nodes[node_id] = None
@@ -383,8 +384,6 @@ def from_xml(text: str) -> SemanticGraph:
                 kind, source = name, node_id
         except KeyError:
             raise _fault(parser, _attribute_fault(name, attributes, entry)) from None
-        except XmlSchemaError as exc:
-            raise _fault(parser, exc.reason) from None
 
     def end(name):
         nonlocal parent
@@ -458,16 +457,16 @@ def catalogue_from_xml(text: str) -> ConceptCatalogue:
             if name == "concept":
                 concept = attributes["name"]
                 if not concept:
-                    raise XmlSchemaError("empty concept name in catalogue")
+                    raise _fault(parser, "empty concept name in catalogue")
                 if concept in entries:
-                    raise XmlSchemaError(f"duplicate concept '{concept}' in catalogue")
+                    raise _fault(parser, f"duplicate concept '{concept}' in catalogue")
                 roles = {}
                 return
             role = attributes["name"]
             if not role:
-                raise XmlSchemaError(f"empty role name in concept '{concept}'")
+                raise _fault(parser, f"empty role name in concept '{concept}'")
             if role in roles:
-                raise XmlSchemaError(f"role '{role}' declared twice in concept '{concept}'")
+                raise _fault(parser, f"role '{role}' declared twice in concept '{concept}'")
             # A role has two attributes exactly when one is its indexed flag.
             indexed = attributes["indexed"] if count == 2 else "false"
             key = (role, indexed)
@@ -475,15 +474,13 @@ def catalogue_from_xml(text: str) -> ConceptCatalogue:
                 roles[role] = specs[key]
                 return
             if indexed not in ("true", "false"):
-                raise XmlSchemaError(f"indexed must be 'true' or 'false', got {indexed!r}")
+                raise _fault(parser, f"indexed must be 'true' or 'false', got {indexed!r}")
             # Made field by field, as in from_xml.
             spec = roles[role] = specs[key] = _new(RoleSpec)
             _set(spec, "name", role)
             _set(spec, "indexed", indexed == "true")
         except KeyError:
             raise _fault(parser, _attribute_fault(name, attributes, entry)) from None
-        except XmlSchemaError as exc:
-            raise _fault(parser, exc.reason) from None
 
     def end(name):
         nonlocal parent

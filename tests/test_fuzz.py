@@ -16,7 +16,7 @@ import io
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semgraph import conll, kg, penman, ucca, xmlio
 from semgraph.cli import main
@@ -70,6 +70,7 @@ READERS = {
 # Characters that mean something to at least one format, plus ones that have
 # broken a reader before (\v, \f, '>'); arbitrary characters are drawn too.
 SPECIAL = list('()/:"~#\\<>@^;,.[]{}=-_ \t\n\v\f\r\x85\u2028') + ["B-Cause", "I-Effect"]
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @st.composite
@@ -104,6 +105,7 @@ def test_mutated_input_fails_cleanly(fmt, tmp_path):
 
     @settings(max_examples=100)
     @given(mutated(SEEDS[fmt]))
+    @example(SEEDS[fmt][:9] + "\udc80" + SEEDS[fmt][9:])  # the fixed profile draws none
     def check(text):
         try:
             graphs = convert(text)
@@ -114,7 +116,9 @@ def test_mutated_input_fails_cleanly(fmt, tmp_path):
             violations = validate(graph)
             if fmt != "xml":  # the XML reader keeps invalid graphs for validate to report
                 assert violations == [] and mixed_roles(graph) == [], text
-        path.write_text(text, encoding="utf-8")
+        # A lone surrogate, which the library call may be given, reaches the
+        # CLI as bytes that are not UTF-8.
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*command, str(path)])
@@ -124,6 +128,8 @@ def test_mutated_input_fails_cleanly(fmt, tmp_path):
             assert printed and all(line.split("\t")[0] in VIOLATION_CODES for line in printed)
         if code == 2:
             assert err.getvalue().startswith("semgraph: error: ")
+        if LONE_SURROGATE.search(text):  # the file is not UTF-8
+            assert code == 2 and len(err.getvalue().splitlines()) == 1, err.getvalue()
 
     check()
 

@@ -75,9 +75,45 @@ def test_a_failed_add_takes_no_id(fail):
     assert g.add_omitted() == "n2"
 
 
-def test_fresh_ids_skip_ids_already_taken():
+@pytest.mark.parametrize("method, args", [
+    ("add_concept", ("X",)), ("add_entity", ("v", ("A",))), ("add_omitted", ()),
+], ids=["concept", "entity", "omitted"])
+def test_fresh_ids_skip_ids_already_taken(method, args):
     g = from_xml('<semanticgraph version="1"><omitted id="n2"/></semanticgraph>')
-    assert [g.add_omitted(), g.add_omitted(), g.add_omitted()] == ["n1", "n3", "n4"]
+    add = getattr(g, method)
+    assert [add(*args), add(*args), add(*args)] == ["n1", "n3", "n4"]
+
+
+class Name(str):
+    """A str subclass, which the writers would write as its __str__ gives it."""
+
+    def __str__(self):
+        return "<"
+
+
+# Each of these used to be accepted: a payload that is not a str then made
+# to_xml or to_dot raise TypeError, and a subclass wrote what __str__ gives.
+@pytest.mark.parametrize("add, message", [
+    (lambda g: g.add_concept(5), "concept name must be a str, not the int 5"),
+    (lambda g: g.add_concept(Name("X")), "concept name must be a str, not the Name 'X'"),
+    (lambda g: g.add_entity(b"v"), "entity value must be a str, not the bytes b'v'"),
+    (lambda g: g.add_entity(None), "entity value must be a str, not the NoneType None"),
+    (lambda g: g.add_entity("v", b"AB"),
+     "entity classes must be class names, not the bytes b'AB'"),
+    (lambda g: g.add_entity("v", bytearray(b"AB")),
+     "entity classes must be class names, not the bytearray bytearray(b'AB')"),
+    (lambda g: g.add_entity("v", ["A", 5]), "entity class name must be a str, not the int 5"),
+    (lambda g: g.add_entity("v", ("A", "")), "entity class name must be non-empty"),
+    (lambda g: g.add_entity("v", ("A", Name("B"))),
+     "entity class name must be a str, not the Name 'B'"),
+], ids=["concept-int", "concept-subclass", "value-bytes", "value-none", "classes-bytes",
+        "classes-bytearray", "class-int", "class-empty", "class-subclass"])
+def test_a_payload_that_is_not_a_str_takes_no_node(add, message):
+    g = SemanticGraph()
+    with pytest.raises(GraphError) as exc:
+        add(g)
+    assert str(exc.value) == message
+    assert g.nodes == {}
 
 
 class TestAddEntity:
@@ -324,10 +360,21 @@ class TestAddEdge:
         (lambda: RoleLabel("op", False), "role index must be an int, got False"),
         (lambda: RoleLabel("op", "2"), "role index must be an int, got '2'"),
         (lambda: RoleLabel("op", 2.0), "role index must be an int, got 2.0"),
+        (lambda: RoleLabel(5), "role name must be a str, not the int 5"),
+        (lambda: RoleLabel(Name("op"), 1), "role name must be a str, not the Name 'op'"),
+        (lambda: RoleSpec(5), "role name must be a str, not the int 5"),
+        (lambda: ConceptDefinition(5), "concept definition name must be a str, not the int 5"),
+        (lambda: ConceptNode("a", b"X"), "concept name must be a str, not the bytes b'X'"),
+        (lambda: EntityNode("e", 5), "entity value must be a str, not the int 5"),
+        (lambda: EntityNode("e", "v", b"AB"),
+         "entity classes must be class names, not the bytes b'AB'"),
+        (lambda: EntityNode("e", "v", (5,)), "entity class name must be a str, not the int 5"),
     ], ids=["role-name", "role-index", "concept-name", "concept-id", "entity-value",
             "omitted-id", "entity-class", "entity-str-classes", "definition-name",
             "role-spec-name", "role-index-true", "role-index-false", "role-index-str",
-            "role-index-float"])
+            "role-index-float", "role-name-int", "role-name-subclass", "role-spec-name-int",
+            "definition-name-int", "concept-name-bytes", "entity-value-int",
+            "entity-bytes-classes", "entity-class-int"])
     def test_record_faults_are_graph_errors(self, build, message):
         with pytest.raises(GraphError) as exc:
             build()

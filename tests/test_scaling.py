@@ -3,16 +3,16 @@ counted with ``sys.setprofile``, grow linearly with its input.
 
 Each format is converted, and XML graphs and catalogues are read by the
 other commands, at three sizes drawn from the benchmark's generators
-(``bench/gen.py``). The library layers are gated by themselves too: one
-``add_planned_edges`` call, ``merge``, ``from_xml``, ``validate``, the XML
-and DOT writers and the catalogue reader. The gate compares marginal calls
-per element across the two size steps, not totals, so that work done once
-per command cancels out. A warm-up run first does the once-per-process
-work, such as building the CLI's argument parser.
+(``bench/gen.py``). The library layers are gated by themselves too: each
+format's parser, one ``add_planned_edges`` call, ``merge``, ``from_xml``,
+``validate``, the XML and DOT writers and the catalogue reader. The gate
+compares marginal calls per element across the two size steps, not totals,
+so that work done once per command cancels out. A warm-up run first does
+the once-per-process work, such as building the CLI's argument parser.
 
 The insertion path is also bounded in exact calls per planned edge and per
-node, and the XML readers in exact calls per element, so that a change that
-adds calls to them fails.
+node, AMR conversion in exact calls per slot, and the XML readers in exact
+calls per element, so that a change that adds calls to them fails.
 """
 
 import contextlib
@@ -24,6 +24,7 @@ import sys
 import pytest
 
 import gen
+from semgraph import conll, kg, penman, ucca
 from semgraph.cli import main
 from semgraph.dot import _dot_parts
 from semgraph.model import (
@@ -81,6 +82,43 @@ def assert_layer_flat(layer, make, sizes) -> None:
         points.append((elements, count_calls(lambda: layer(x))))
     first, second = marginals(points)
     assert second <= FLAT * first, points
+
+
+# format -> its parser alone, on the file's text
+PARSERS = {
+    "amr": lambda text: list(penman._penman_trees(text)),
+    "conll": lambda text: list(conll._conll_sentences(text, "und")),
+    "umr": penman.parse_umr_document,
+    "ttl": kg.parse_turtle,
+    "ucca": ucca.parse_ucca,
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_parser_makes_flat_calls_per_element(fmt):
+    make, sizes = FORMATS[fmt]
+
+    def sized(size):
+        text, counts = make(random.Random(1), size)
+        return counts.elements(), text
+
+    assert_layer_flat(PARSERS[fmt], sized, sizes)
+
+
+# Exact calls per slot before the slot loop picked each slot's target and
+# appended its edge itself, with no helper call per slot: 17.79 on Python
+# 3.11. The bound undercuts it, so that a per-slot helper fails.
+def test_amr_conversion_calls_per_slot():
+    trees = penman.parse_penman_file(gen.amr_file(random.Random(1), "d", 320)[0])
+    slots = sum(len(tree.slots) for tree in trees)
+
+    def convert():
+        for tree in trees:
+            penman._to_graph(SemanticGraph(), [tree], [])
+
+    convert()
+    with collector_paused():
+        assert count_calls(convert) / slots <= 17.2
 
 
 def assert_flat(sized: list[tuple[int, list[str]]]) -> None:
